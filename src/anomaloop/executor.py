@@ -30,7 +30,9 @@ from .world import (
     Relocate,
     Reverse,
     WorldState,
+    at_rest,
     box_cells_of,
+    fast_forward,
     step,
     vid_num,
 )
@@ -366,11 +368,19 @@ def run_closed_loop(spec, resolver, cfg: SimConfig | None = None, event_cb=None)
     emit = event_cb or (lambda event, **fields: None)
     emit("episode_start", kind=spec.kind.value, seed=spec.seed)
 
+    # Warm-up, recording the last ``after_window`` speed samples.  A world at
+    # rest keeps its speeds, so the samples it would still take repeat the
+    # last one.
     window: deque[dict[str, float]] = deque(maxlen=cfg.after_window)
-    for _ in range(cfg.warmup_ticks):
-        world = step(world)
-        if tracked:
-            window.append({vid: world.vehicles[vid].v for vid in tracked})
+    for done in range(1, cfg.warmup_ticks + 1):
+        before, world = world, step(world)
+        speeds = {vid: world.vehicles[vid].v for vid in tracked}
+        window.append(speeds)
+        if at_rest(before, world):
+            left = cfg.warmup_ticks - done
+            window.extend([speeds] * min(left, cfg.after_window))
+            world = fast_forward(world, left)
+            break
     before_speeds = {
         vid: sum(sample[vid] for sample in window) / len(window) for vid in tracked
     } if window else {}

@@ -1,10 +1,12 @@
 """Episode metrics: clearance time, speed recovery, travel-time delta.
 
 The travel-time baseline is the deterministic no-intervention continuation
-of the same post-warm-up world, stepped for exactly as many ticks as the
-episode executed.  For a Normal scene no plan executes, so baseline and
-episode are the same run and the delta is exactly zero.  Negative deltas
-mean the intervention saved travel time.
+of the same post-warm-up world, sampled after exactly as many ticks as the
+episode executed.  The control run stops once its outcome is decided: when
+the scene has resolved and the sample tick is past, or when the world comes
+to rest and can no longer change.  For a Normal scene no plan executes, so
+baseline and episode are the same run and the delta is exactly zero.
+Negative deltas mean the intervention saved travel time.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from .config import SimConfig
 from .executor import EpisodeResult
 from .scenarios import is_resolved
-from .world import step
+from .world import at_rest, step
 
 
 @dataclass(frozen=True)
@@ -50,24 +52,30 @@ class Metrics:
 def run_control(ep: EpisodeResult, cfg: SimConfig) -> ControlRun:
     """Step the post-warm-up world with no intervention.
 
-    Runs for the full tick budget to test whether the anomaly dissolves on
-    its own; distances are sampled at the episode's executed-tick count so
-    they compare like for like.
+    Tests whether the anomaly dissolves on its own within the tick budget;
+    distances are sampled at the episode's executed-tick count so they
+    compare like for like.  The run ends as soon as both outputs are fixed:
+    once the scene has resolved and the sample tick is past, or once the
+    world is at rest, where neither the resolution predicate nor any
+    odometer can change again (so an unreached sample equals the current
+    distances).
     """
-    world = ep.world_start.clone()
+    world = ep.world_start
     start_odo = {vid: world.vehicles[vid].odometer for vid in ep.tracked}
     sample_at = ep.ticks_executed
-    horizon = max(sample_at, ep.spec.tick_budget)
     distances: dict[str, float] = {vid: 0.0 for vid in ep.tracked}
     resolved_ever = is_resolved(world, ep.truth)
-    for i in range(horizon):
-        world = step(world)
-        if i + 1 == sample_at:
+    for i in range(max(sample_at, ep.spec.tick_budget)):
+        if resolved_ever and i >= sample_at:
+            break
+        before, world = world, step(world)
+        if not resolved_ever:
+            resolved_ever = is_resolved(world, ep.truth)
+        resting = at_rest(before, world)
+        if i < sample_at and (resting or i + 1 == sample_at):
             distances = {vid: world.vehicles[vid].odometer - start_odo[vid] for vid in ep.tracked}
-        if not resolved_ever and is_resolved(world, ep.truth):
-            resolved_ever = True
-    if sample_at == 0:
-        distances = {vid: 0.0 for vid in ep.tracked}
+        if resting:
+            break
     return ControlRun(resolved_ever=resolved_ever, distances=distances)
 
 

@@ -12,6 +12,7 @@ the resolver's to hide and propagate to the harness.
 
 from __future__ import annotations
 
+import functools
 import os
 import string
 import time
@@ -111,7 +112,9 @@ _TEMPLATE_FILES = {
 }
 
 
+@functools.cache
 def load_template(stage: Stage) -> string.Template:
+    """The stage's prompt template, read from its file once per process."""
     text = resources.files("anomaloop").joinpath("prompts", _TEMPLATE_FILES[stage]).read_text()
     return string.Template(text)
 

@@ -16,7 +16,16 @@ from pathlib import Path
 from .commands import AnomalyLabel
 from .config import ConfigError, SimConfig, coerce_scalar, parse_kv_text
 from .geometry import SHOULDER, four_way
-from .world import CollisionEvent, RngStream, VehicleState, WorldState, box_cells_of, step
+from .world import (
+    CollisionEvent,
+    RngStream,
+    VehicleState,
+    WorldState,
+    at_rest,
+    box_cells_of,
+    fast_forward,
+    step,
+)
 
 KINDS = {label.value: label for label in AnomalyLabel}
 
@@ -107,8 +116,12 @@ def build(spec: ScenarioSpec, cfg: SimConfig | None = None) -> tuple[WorldState,
 
 
 def warm_up(world: WorldState, cfg: SimConfig) -> WorldState:
-    for _ in range(cfg.warmup_ticks):
-        world = step(world)
+    """Step ``cfg.warmup_ticks`` ticks; a world that comes to rest earlier
+    is fast-forwarded over the remaining ones."""
+    for done in range(1, cfg.warmup_ticks + 1):
+        before, world = world, step(world)
+        if at_rest(before, world):
+            return fast_forward(world, cfg.warmup_ticks - done)
     return world
 
 
@@ -123,6 +136,9 @@ def _build_normal(spec, road, rng, cfg):
     n = int(spec.param("vehicles"))
     if n < 1:
         raise InvalidParams("vehicles must be >= 1")
+    if n > 12:
+        # A fourth staging row would start inside the conflict box.
+        raise InvalidParams("vehicles > 12 does not fit the approach")
     arms = ("w", "n", "e", "s")
     vehicles = {}
     for k in range(n):

@@ -15,6 +15,7 @@ import copy
 import hashlib
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .config import SimConfig
 from .geometry import SHOULDER, STRAIGHT_EXIT, RoadNet, turn_of
@@ -849,6 +850,55 @@ def _wrapped_route(road: RoadNet, veh: VehicleState) -> tuple[str, ...]:
     entry = road.loops[veh.route[veh.route_idx]]
     arm = road.approaches[entry]
     return (entry, f"out-{STRAIGHT_EXIT[arm]}")
+
+
+# ── worlds at rest ────────────────────────────────────────────────────────
+
+# Every vehicle field `step` reads and may also write.  `id`, `length` and
+# `loop_route` are read but never written, so they cannot differ between a
+# world and its successor; `a` and `stopped_ticks` are written but never read.
+_STEP_STATE = attrgetter(
+    "s", "v", "odometer", "seg", "lane_idx", "route", "route_idx", "reversing",
+    "wrecked", "desired", "arrival_tick", "box_entry_tick", "lane_cooldown", "controller",
+)
+
+
+def at_rest(before: WorldState, after: WorldState) -> bool:
+    """True when ``after = step(before)`` equals ``before`` in everything
+    ``step`` reads, so every further step repeats the same transition and
+    :func:`fast_forward` gives its result exactly.
+
+    Compared: the collision log, and per vehicle the position, speed,
+    odometer, lane, route, flags, desired speed, box-entry and arrival
+    stamps, lane-change cooldown and the controller by value.  That leaves
+    the tick, which ``step`` reads only to stamp an unset arrival or
+    box-entry tick (and as the arrival fallback of a right-of-way claim,
+    which needs the same unset stamp): a vehicle at the stamping depth would
+    have been stamped by this very step, so equal stamps mean none is
+    pending.  A blocked controller counts its ``held`` ticks up every step,
+    so a world waiting on one is never at rest.
+    """
+    if after.collisions != before.collisions:
+        return False
+    prior = before.vehicles
+    return all(_STEP_STATE(veh) == _STEP_STATE(prior[vid]) for vid, veh in after.vehicles.items())
+
+
+def fast_forward(world: WorldState, ticks: int) -> WorldState:
+    """The state after ``ticks`` more steps of a world at rest (see
+    :func:`at_rest`), without stepping it.
+
+    Only the fields ``step`` writes but never reads move: the tick, and each
+    vehicle's ``stopped_ticks``, which counts up because every vehicle is
+    stopped (a speed of 0.05 m/s or more would have moved it).  ``a``, the
+    other written-only field, comes out the same from every such step, and
+    ``step`` never draws from the random stream.
+    """
+    out = world.clone()
+    out.tick += ticks
+    for veh in out.vehicles.values():
+        veh.stopped_ticks += ticks
+    return out
 
 
 # ── public control surface ────────────────────────────────────────────────

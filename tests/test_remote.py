@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from importlib import resources
+
 import pytest
 
 from anomaloop.commands import AnomalyLabel, serialize
@@ -19,6 +21,7 @@ from anomaloop.remote import (
     RemoteResolver,
     TransportError,
     chat_completion,
+    load_template,
 )
 from anomaloop.scenarios import ScenarioSpec, build, is_resolved, warm_up
 from anomaloop.commands import validate
@@ -91,6 +94,17 @@ class TestChatCompletion:
                 chat_completion(endpoint_for(stub), [], sleep=lambda s: None)
             assert not ei.value.retryable
         assert len(stub.requests) == 1
+
+
+class TestTemplates:
+    @pytest.mark.parametrize("stage", list(Stage))
+    def test_template_is_the_prompt_file_on_every_call(self, stage):
+        text = resources.files("anomaloop").joinpath("prompts", f"{stage.value.lower()}.txt").read_text()
+        first = load_template(stage)
+        first.safe_substitute(OBSERVATION="x", SCENE_LABEL="y")
+        again = load_template(stage)
+        assert again is first  # read once, then served from memory
+        assert again.template == text
 
 
 class TestRemotePipeline:

@@ -70,6 +70,18 @@ class TestBuild:
         with pytest.raises(InvalidParams):
             build(spec, cfg)
 
+    @pytest.mark.parametrize("vehicles", [13, 16, 17])
+    def test_invalid_params_normal_too_many_vehicles(self, cfg, vehicles):
+        # A fourth staging row would start inside the conflict box.
+        spec = ScenarioSpec(kind=AnomalyLabel.NORMAL, seed=0, params={"vehicles": vehicles})
+        with pytest.raises(InvalidParams):
+            build(spec, cfg)
+
+    def test_normal_at_capacity_warms_up_without_collision(self, cfg):
+        spec = ScenarioSpec(kind=AnomalyLabel.NORMAL, seed=2, params={"vehicles": 12})
+        world, _ = build(spec, cfg)
+        assert not warm_up(world, cfg).collisions
+
     def test_invalid_params_unknown_key(self, cfg):
         spec = ScenarioSpec(kind=AnomalyLabel.NORMAL, seed=1, params={"bogus": 3})
         with pytest.raises(InvalidParams):

@@ -17,7 +17,9 @@ from anomaloop.world import (
     UnknownVehicleError,
     VehicleState,
     apply_control,
+    at_rest,
     detect_collisions,
+    fast_forward,
     step,
 )
 from conftest import feasible_random_traffic, make_vehicle, make_world
@@ -138,6 +140,47 @@ class TestControls:
         w3 = run(w3, 5)
         assert w3.vehicles["v-0"].lane_idx == 0
         assert not w3.collisions
+
+
+class TestRest:
+    def test_fast_forward_equals_stepping_a_resting_deadlock(self, cfg):
+        from anomaloop.commands import AnomalyLabel
+        from anomaloop.scenarios import ScenarioSpec, build
+
+        w, _ = build(ScenarioSpec(kind=AnomalyLabel.DEADLOCK, seed=5), cfg)
+        for _ in range(cfg.warmup_ticks):
+            before, w = w, step(w)
+            if at_rest(before, w):
+                break
+        assert at_rest(before, w)
+        stepped = run(w, 120)
+        jumped = fast_forward(w, 120)
+        assert jumped.canonical_dump() == stepped.canonical_dump()
+        assert jumped.vehicles == stepped.vehicles
+        assert w.tick + 120 == jumped.tick
+
+    def test_moving_world_is_not_at_rest(self, road, cfg):
+        w = make_world(road, cfg, [make_vehicle("v-0", s=50.0, v=10.0)])
+        assert not at_rest(w, step(w))
+
+    def test_blocked_lane_shift_is_not_at_rest(self, road, cfg):
+        mover = make_vehicle("v-0", lane=1, s=50.0, v=0.0, desired=0.0)
+        blocker = make_vehicle("v-1", lane=0, s=50.0, v=0.0, desired=0.0)
+        w = make_world(road, cfg, [mover, blocker])
+        assert at_rest(w, step(w))  # both parked: nothing changes
+        w = apply_control(w, "v-0", LaneChange("right"))
+        nxt = step(w)
+        assert nxt.vehicles["v-0"].controller.held == 1
+        assert nxt.vehicles["v-0"].s == w.vehicles["v-0"].s
+        assert not at_rest(w, nxt)
+
+    def test_pending_arrival_stamp_is_not_at_rest(self, road, cfg):
+        # Parked at the stop line with no arrival tick: the next step stamps one.
+        w = make_world(road, cfg, [make_vehicle("v-0", s=190.0, v=0.0, desired=0.0)])
+        nxt = step(w)
+        assert w.vehicles["v-0"].arrival_tick is None and nxt.vehicles["v-0"].arrival_tick == 1
+        assert not at_rest(w, nxt)
+        assert at_rest(nxt, step(nxt))
 
 
 class TestDetectCollisions:
