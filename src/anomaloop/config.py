@@ -125,10 +125,3 @@ class SimConfig:
                 raise ConfigError(f"expected a number for '{key}'", line=lineno, field=key)
             kwargs[key] = value
         return cls(**kwargs)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SimConfig":
-        return cls.from_mapping(parse_kv_file(path))
-
-
-DEFAULT_CONFIG = SimConfig()

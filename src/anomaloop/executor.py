@@ -1,14 +1,22 @@
 """Compile validated plans into per-vehicle controllers and drive the world.
 
-Forward commands are one-shot driver re-parameterisations: ``increase`` can
+:func:`compile_plan` makes one :class:`VehicleController` per plan command.
+It holds the command itself plus what compilation decides: the cruise target
+of a ``move_forward``, and the deadlock phasing.  :func:`_activate` is the one
+place that maps a verb to what it does in the world.
+
+``move_forward`` is a one-shot driver re-parameterisation: ``increase`` can
 only raise the vehicle's cruise speed toward the compiled target, ``decrease``
 only lower it, ``maintain`` leaves it alone; afterwards the default
-car-following rule drives.  Reverse, lane-change, stop and relocate commands
-install world-level controllers and are polled to completion.
+car-following rule drives.  ``move_backward``, ``change_lane_left/right``,
+``stop`` and ``relocate`` install the world controllers ``Reverse``,
+``LaneShift``, ``Halt`` and ``Relocate`` and are polled to completion; a
+polled move blocked for more than ``hold_limit`` ticks safety-stops.
 
 Deadlock plans execute in two phases: every reversal completes (or
 safety-stops) before forward commands activate, and reversed vehicles are
 then released back into traffic one at a time as the conflict box clears.
+See the "Execution" section of ``docs/grammar.md``.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import commands
-from .commands import AnomalyLabel, SpeedChange, ValidatedPlan, Verb
+from .commands import AnomalyLabel, InterventionCommand, SpeedChange, ValidatedPlan, Verb
 from .config import SimConfig
 from .geometry import SHOULDER
 from .world import (
@@ -51,35 +59,10 @@ class Status(enum.Enum):
 
 
 @dataclass
-class Forward:
-    mode: SpeedChange
-    target: float
-
-
-@dataclass
-class ReverseMove:
-    distance: float
-
-
-@dataclass
-class LaneMove:
-    direction: str
-
-
-@dataclass
-class StopMove:
-    pass
-
-
-@dataclass
-class RelocateMove:
-    distance: float
-
-
-@dataclass
 class VehicleController:
     vehicle: str
-    program: Forward | ReverseMove | LaneMove | StopMove | RelocateMove
+    command: InterventionCommand
+    target: float | None = None  # compiled cruise target of a move_forward
     phase: int = 0
     hold_after: bool = False  # kept stopped after completion until released
     release_rank: int | None = None
@@ -107,7 +90,7 @@ class ExecutionLog:
 
 
 def compile_plan(vplan: ValidatedPlan, world: WorldState, cfg: SimConfig | None = None) -> list[VehicleController]:
-    """Map plan commands to controllers; deadlock reversals get the barrier."""
+    """One controller per plan command; deadlock reversals get the barrier."""
     cfg = cfg or world.config
     age = world.tick - vplan.tick
     if age >= cfg.staleness_bound:
@@ -116,33 +99,21 @@ def compile_plan(vplan: ValidatedPlan, world: WorldState, cfg: SimConfig | None 
     controllers: list[VehicleController] = []
     release_rank = 0
     for cmd in vplan.plan.commands:
-        veh = world.vehicle(cmd.vehicle)
-        current = veh.v
+        ctl = VehicleController(cmd.vehicle, cmd)
+        current = world.vehicle(cmd.vehicle).v
         if cmd.verb is Verb.MOVE_FORWARD:
-            mode = cmd.speed or SpeedChange.MAINTAIN
-            if mode is SpeedChange.INCREASE:
-                target = min(cfg.v_max, current + 3.0)
-            elif mode is SpeedChange.DECREASE:
-                target = max(0.0, current - 3.0)
+            if cmd.speed is SpeedChange.INCREASE:
+                ctl.target = min(cfg.v_max, current + 3.0)
+            elif cmd.speed is SpeedChange.DECREASE:
+                ctl.target = max(0.0, current - 3.0)
             else:
-                target = current
-            controllers.append(
-                VehicleController(cmd.vehicle, Forward(mode, target), phase=1 if deadlock else 0)
-            )
-        elif cmd.verb is Verb.MOVE_BACKWARD:
-            ctl = VehicleController(cmd.vehicle, ReverseMove(cmd.distance_m), phase=0)
-            if deadlock:
-                ctl.hold_after = True
-                ctl.release_rank = release_rank
-                release_rank += 1
-            controllers.append(ctl)
-        elif cmd.verb in (Verb.CHANGE_LANE_LEFT, Verb.CHANGE_LANE_RIGHT):
-            direction = "left" if cmd.verb is Verb.CHANGE_LANE_LEFT else "right"
-            controllers.append(VehicleController(cmd.vehicle, LaneMove(direction)))
-        elif cmd.verb is Verb.STOP:
-            controllers.append(VehicleController(cmd.vehicle, StopMove()))
-        elif cmd.verb is Verb.RELOCATE:
-            controllers.append(VehicleController(cmd.vehicle, RelocateMove(cmd.distance_m)))
+                ctl.target = current
+            ctl.phase = 1 if deadlock else 0
+        elif cmd.verb is Verb.MOVE_BACKWARD and deadlock:
+            ctl.hold_after = True
+            ctl.release_rank = release_rank
+            release_rank += 1
+        controllers.append(ctl)
     return controllers
 
 
@@ -160,97 +131,80 @@ def _activate(ctl: VehicleController, world: WorldState, log: ExecutionLog) -> N
     ctl.status = Status.ACTIVE
     ctl.activated_tick = world.tick
     ctl.start_s = veh.s
-    prog = ctl.program
-    if isinstance(prog, Forward):
+    cmd = ctl.command
+    if cmd.verb is Verb.MOVE_FORWARD:
+        mode = cmd.speed or SpeedChange.MAINTAIN
         if isinstance(veh.controller, Halt):
             veh.controller = None
-        if prog.mode is SpeedChange.INCREASE:
-            veh.desired = max(veh.desired, prog.target)
-        elif prog.mode is SpeedChange.DECREASE:
-            veh.desired = min(veh.desired, prog.target)
+        if mode is SpeedChange.INCREASE:
+            veh.desired = max(veh.desired, ctl.target)
+        elif mode is SpeedChange.DECREASE:
+            veh.desired = min(veh.desired, ctl.target)
         ctl.status = Status.DONE
         ctl.completed_tick = world.tick
-        log.add(world.tick, "forward", vehicle=ctl.vehicle, mode=prog.mode.value, target=round(prog.target, 3))
-        return
-    if isinstance(prog, ReverseMove):
-        veh.controller = Reverse(remaining=prog.distance)
-        log.add(world.tick, "reverse_start", vehicle=ctl.vehicle, distance=prog.distance)
-    elif isinstance(prog, LaneMove):
-        veh.controller = LaneShift(direction=prog.direction)
-        log.add(world.tick, "lane_change_start", vehicle=ctl.vehicle, direction=prog.direction)
-    elif isinstance(prog, StopMove):
+        log.add(world.tick, "forward", vehicle=ctl.vehicle, mode=mode.value, target=round(ctl.target, 3))
+    elif cmd.verb is Verb.MOVE_BACKWARD:
+        veh.controller = Reverse(remaining=cmd.distance_m)
+        log.add(world.tick, "reverse_start", vehicle=ctl.vehicle, distance=cmd.distance_m)
+    elif cmd.verb in (Verb.CHANGE_LANE_LEFT, Verb.CHANGE_LANE_RIGHT):
+        direction = "left" if cmd.verb is Verb.CHANGE_LANE_LEFT else "right"
+        veh.controller = LaneShift(direction=direction)
+        log.add(world.tick, "lane_change_start", vehicle=ctl.vehicle, direction=direction)
+    elif cmd.verb is Verb.STOP:
         veh.controller = Halt()
         log.add(world.tick, "stop", vehicle=ctl.vehicle)
-    elif isinstance(prog, RelocateMove):
-        veh.controller = Relocate(advance=prog.distance)
-        log.add(world.tick, "relocate_start", vehicle=ctl.vehicle, distance=prog.distance)
+    elif cmd.verb is Verb.RELOCATE:
+        veh.controller = Relocate(advance=cmd.distance_m)
+        log.add(world.tick, "relocate_start", vehicle=ctl.vehicle, distance=cmd.distance_m)
+
+
+# Verbs polled to completion: the world controller `_activate` installed for
+# them and the program name their log events carry.
+_POLLED = {
+    Verb.MOVE_BACKWARD: (Reverse, "reverse"),
+    Verb.CHANGE_LANE_LEFT: (LaneShift, "lane_change"),
+    Verb.CHANGE_LANE_RIGHT: (LaneShift, "lane_change"),
+    Verb.RELOCATE: (Relocate, "relocate"),
+}
 
 
 def _poll(ctl: VehicleController, world: WorldState, cfg: SimConfig, log: ExecutionLog) -> None:
     if ctl.status is not Status.ACTIVE:
         return
     veh = world.vehicles[ctl.vehicle]
-    inner = veh.controller
-    prog = ctl.program
-    if isinstance(prog, ReverseMove):
-        if isinstance(inner, Reverse):
-            if inner.done:
-                ctl.status = Status.DONE
-                ctl.completed_tick = world.tick
-                ctl.displacement = ctl.start_s - veh.s
-                if ctl.hold_after:
-                    veh.controller = Halt(exec_hold=True)
-                else:
-                    veh.controller = None
-                log.add(world.tick, "reverse_done", vehicle=ctl.vehicle, displacement=round(ctl.displacement, 4))
-            elif inner.held > cfg.hold_limit:
-                ctl.status = Status.SAFETY_STOPPED
-                ctl.displacement = ctl.start_s - veh.s
-                veh.controller = Halt(exec_hold=True) if ctl.hold_after else None
-                log.safety_stops += 1
-                log.add(world.tick, "safety_stop", vehicle=ctl.vehicle, program="reverse")
-        else:  # wrecked mid-reversal or controller displaced
-            ctl.status = Status.SAFETY_STOPPED
-            log.safety_stops += 1
-            log.add(world.tick, "safety_stop", vehicle=ctl.vehicle, program="reverse", detail="controller lost")
-    elif isinstance(prog, LaneMove):
-        if isinstance(inner, LaneShift):
-            if inner.done:
-                ctl.status = Status.DONE
-                ctl.completed_tick = world.tick
-                veh.controller = None
-                log.add(world.tick, "lane_change_done", vehicle=ctl.vehicle, lane=veh.lane)
-            elif inner.held > cfg.hold_limit:
-                ctl.status = Status.SAFETY_STOPPED
-                veh.controller = None
-                log.safety_stops += 1
-                log.add(world.tick, "safety_stop", vehicle=ctl.vehicle, program="lane_change")
-        else:
-            ctl.status = Status.SAFETY_STOPPED
-            log.safety_stops += 1
-            log.add(world.tick, "safety_stop", vehicle=ctl.vehicle, program="lane_change", detail="controller lost")
-    elif isinstance(prog, StopMove):
+    verb = ctl.command.verb
+    if verb is Verb.STOP:
         if veh.v == 0.0:
             ctl.status = Status.DONE
             ctl.completed_tick = world.tick
             log.add(world.tick, "stopped", vehicle=ctl.vehicle)
-    elif isinstance(prog, RelocateMove):
-        if isinstance(inner, Relocate):
-            if inner.done:
-                ctl.status = Status.DONE
-                ctl.completed_tick = world.tick
-                ctl.displacement = abs(veh.s - (ctl.start_s or 0.0))
-                veh.controller = None
-                log.add(world.tick, "relocate_done", vehicle=ctl.vehicle, lane=veh.lane)
-            elif inner.held > cfg.hold_limit:
-                ctl.status = Status.SAFETY_STOPPED
-                veh.controller = None
-                log.safety_stops += 1
-                log.add(world.tick, "safety_stop", vehicle=ctl.vehicle, program="relocate")
-        else:
-            ctl.status = Status.SAFETY_STOPPED
-            log.safety_stops += 1
-            log.add(world.tick, "safety_stop", vehicle=ctl.vehicle, program="relocate", detail="controller lost")
+        return
+    kind, program = _POLLED[verb]
+    inner = veh.controller
+    if not isinstance(inner, kind):  # wrecked mid-move or controller displaced
+        ctl.status = Status.SAFETY_STOPPED
+        log.safety_stops += 1
+        log.add(world.tick, "safety_stop", vehicle=ctl.vehicle, program=program, detail="controller lost")
+        return
+    if not inner.done and inner.held <= cfg.hold_limit:
+        return
+    reverse = verb is Verb.MOVE_BACKWARD
+    if reverse:
+        ctl.displacement = ctl.start_s - veh.s
+    veh.controller = Halt(exec_hold=True) if ctl.hold_after else None
+    if not inner.done:
+        ctl.status = Status.SAFETY_STOPPED
+        log.safety_stops += 1
+        log.add(world.tick, "safety_stop", vehicle=ctl.vehicle, program=program)
+        return
+    ctl.status = Status.DONE
+    ctl.completed_tick = world.tick
+    if reverse:
+        log.add(world.tick, "reverse_done", vehicle=ctl.vehicle, displacement=round(ctl.displacement, 4))
+    else:
+        if verb is Verb.RELOCATE:
+            ctl.displacement = abs(veh.s - ctl.start_s)
+        log.add(world.tick, f"{program}_done", vehicle=ctl.vehicle, lane=veh.lane)
 
 
 def execute(
@@ -354,7 +308,7 @@ def tracked_vehicles(truth) -> tuple[str, ...]:
     return tuple(sorted(ids, key=vid_num))
 
 
-def run_closed_loop(spec, resolver, cfg: SimConfig | None = None, event_cb=None) -> EpisodeResult:
+def run_closed_loop(spec, resolver, cfg: SimConfig | None = None) -> EpisodeResult:
     """build -> warm-up -> {observe -> resolve -> validate -> compile ->
     execute} until resolved or budgets exhausted."""
     from .observation import observe
@@ -364,9 +318,6 @@ def run_closed_loop(spec, resolver, cfg: SimConfig | None = None, event_cb=None)
     cfg = cfg or SimConfig()
     world, truth = build(spec, cfg)
     tracked = tracked_vehicles(truth)
-
-    emit = event_cb or (lambda event, **fields: None)
-    emit("episode_start", kind=spec.kind.value, seed=spec.seed)
 
     # Warm-up, recording the last ``after_window`` speed samples.  A world at
     # rest keeps its speeds, so the samples it would still take repeat the
@@ -384,7 +335,6 @@ def run_closed_loop(spec, resolver, cfg: SimConfig | None = None, event_cb=None)
     before_speeds = {
         vid: sum(sample[vid] for sample in window) / len(window) for vid in tracked
     } if window else {}
-    emit("warmup_done", tick=world.tick)
 
     world_start = world.clone()
     iterations: list[IterationRecord] = []
@@ -397,7 +347,6 @@ def run_closed_loop(spec, resolver, cfg: SimConfig | None = None, event_cb=None)
         if resolved:
             break
         obs = observe(world)
-        emit("iteration_start", index=index, observation_digest=obs.digest())
         try:
             plan, report, traces = run_pipeline(obs, resolver)
         except StageFailure as failure:
@@ -405,7 +354,6 @@ def run_closed_loop(spec, resolver, cfg: SimConfig | None = None, event_cb=None)
                 IterationRecord(index, obs.digest(), failure.traces, None, None,
                                 failure=failure.detail, failed_stage=failure.stage.value)
             )
-            emit("iteration_failed", index=index, stage=failure.stage.value, detail=failure.detail)
             continue
         plan_text = commands.serialize(plan)
         try:
@@ -414,7 +362,6 @@ def run_closed_loop(spec, resolver, cfg: SimConfig | None = None, event_cb=None)
             iterations.append(
                 IterationRecord(index, obs.digest(), tuple(traces), plan_text, None, failure=str(err))
             )
-            emit("iteration_failed", index=index, stage="validate", detail=str(err))
             continue
         controllers = compile_plan(vplan, world, cfg)
         budget = min(cfg.exec_budget, spec.tick_budget - ticks_executed)
@@ -424,8 +371,7 @@ def run_closed_loop(spec, resolver, cfg: SimConfig | None = None, event_cb=None)
             exec_start_tick = world.tick
         world, log = execute(world, controllers, budget, stop_when=lambda w: is_resolved(w, truth))
         ticks_executed += log.ticks_run
-        iterations.append(IterationRecord(index, obs.digest(), tuple(traces), plan_text, log))
-        emit("iteration_end", index=index, ticks=log.ticks_run, resolved=log.resolution_tick is not None)
+        iterations.append(IterationRecord(index, vplan.obs_digest, tuple(traces), plan_text, log))
         if log.resolution_tick is not None:
             resolved = True
             resolution_tick = log.resolution_tick
@@ -442,7 +388,6 @@ def run_closed_loop(spec, resolver, cfg: SimConfig | None = None, event_cb=None)
     if cfg.after_window:
         after_speeds = {vid: total / cfg.after_window for vid, total in totals.items()}
 
-    emit("episode_end", resolved=resolved, ticks_executed=ticks_executed)
     return EpisodeResult(
         spec=spec,
         truth=truth,

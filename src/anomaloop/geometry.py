@@ -150,10 +150,11 @@ class RoadNet:
 
     def depth_of_front(self, seg_id: str, s_front: float) -> float | None:
         """Signed depth of a body front: negative while still short of entry."""
-        if self.box is None or not self.is_inbound(seg_id):
-            return self.box_depth(seg_id, s_front) if self.box else None
-        seg = self.segments[seg_id]
-        return s_front - (seg.length - self.box.half)
+        if self.box is None:
+            return None
+        if seg_id not in self.approaches:
+            return self.box_depth(seg_id, s_front)
+        return s_front - (self.segments[seg_id].length - self.box.half)
 
     def box_cells_for_interval(self, seg_id: str, lane: int, lo: float, hi: float) -> set[tuple[int, int]]:
         """Box cells covered by body interval [lo, hi] on a segment lane."""
@@ -187,14 +188,15 @@ class RoadNet:
         h_out = self.segments[out_seg].direction
         full = _path_cells(h_in, h_out, lane, size)
         start = max(0, math.floor(from_depth))
-        return [c for i, c in enumerate(full) if i >= start]
+        return list(full[start:])
 
-    def path_cells(self, in_seg: str, out_seg: str, lane: int) -> list[tuple[int, int]]:
+    def path_cells(self, in_seg: str, out_seg: str, lane: int) -> frozenset[tuple[int, int]]:
+        """Every cell of the in->out path through the box."""
         if self.box is None:
-            return []
+            return frozenset()
         h_in = self.segments[in_seg].direction
         h_out = self.segments[out_seg].direction
-        return list(_path_cells(h_in, h_out, lane, self.box.size))
+        return _path_cell_set(h_in, h_out, lane, self.box.size)
 
 
 @lru_cache(maxsize=None)
@@ -221,6 +223,11 @@ def _path_cells(h_in: str, h_out: str, lane: int, size: int) -> tuple[tuple[int,
         start = min(range(size), key=lambda k: abs(exit_line[k][0] - corner[0]) + abs(exit_line[k][1] - corner[1]))
     cells.extend(exit_line[start:])
     return tuple(cells)
+
+
+@lru_cache(maxsize=None)
+def _path_cell_set(h_in: str, h_out: str, lane: int, size: int) -> frozenset[tuple[int, int]]:
+    return frozenset(_path_cells(h_in, h_out, lane, size))
 
 
 def turn_of(road: RoadNet, in_seg: str, out_seg: str) -> str:

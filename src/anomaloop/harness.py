@@ -212,9 +212,6 @@ def run_batch(
     workers: int = 1,
 ):
     """Run episodes (parallel across episodes, deterministic per episode)."""
-    resolver_probe = resolver_spec.create(cfg)
-    if not getattr(resolver_probe, "concurrent_safe", True):
-        workers = 1
     jobs = [(i, spec, resolver_spec, cfg) for i, spec in enumerate(specs)]
     results: list[tuple[int, dict, list[dict]]] = []
     if workers > 1 and len(jobs) > 1:

@@ -104,7 +104,6 @@ class Resolver:
     """
 
     name = "resolver"
-    concurrent_safe = True
 
     def __init__(self):
         self.capabilities = {stage: True for stage in STAGES}

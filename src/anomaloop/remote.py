@@ -139,7 +139,6 @@ class RemoteResolver(Resolver):
     """Resolver backed by a chat-completions endpoint."""
 
     name = "remote"
-    concurrent_safe = True
 
     def __init__(self, endpoint: EndpointConfig, sleep=time.sleep):
         super().__init__()
@@ -155,7 +154,3 @@ class RemoteResolver(Resolver):
             # problems are infrastructure failures and propagate.
             raise StageFailure(stage, str(exc)) from exc
 
-
-def remote_resolve(stage: Stage, ctx: StageContext, endpoint: EndpointConfig, sleep=time.sleep) -> str:
-    """Single-stage remote call; the functional face of :class:`RemoteResolver`."""
-    return RemoteResolver(endpoint, sleep=sleep).run_stage(stage, ctx)

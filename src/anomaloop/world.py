@@ -11,11 +11,11 @@ in place and become static obstacles.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from .config import SimConfig
 from .geometry import SHOULDER, STRAIGHT_EXIT, RoadNet, turn_of
@@ -145,10 +145,18 @@ class VehicleState:
         return self.s - self.length / 2.0
 
     def clone(self) -> "VehicleState":
-        out = copy.copy(self)
+        # Shallow field copies, as copy.copy makes them, without its
+        # reduce-protocol overhead: `step` clones every vehicle every tick.
+        out = _shallow_copy(self)
         if self.controller is not None:
-            out.controller = copy.copy(self.controller)
+            out.controller = _shallow_copy(self.controller)
         return out
+
+
+def _shallow_copy(obj):
+    out = object.__new__(type(obj))
+    out.__dict__ = obj.__dict__.copy()
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,6 +178,8 @@ class WorldState:
     collisions: tuple[CollisionEvent, ...]
     rng: RngStream
     config: SimConfig
+    # What `occupancy` built for these vehicles: (placement key, index, box cells).
+    _occupancy: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dt(self) -> float:
@@ -242,21 +252,24 @@ def exit_segment(road: RoadNet, veh: VehicleState) -> str | None:
 
 def occupancy_pieces(road: RoadNet, veh: VehicleState) -> list[tuple[str, int, float, float]]:
     """(segment, lane, lo, hi) intervals covered by the body, with overhangs."""
-    seg = road.segment(veh.seg)
+    seg_len = road.segments[veh.seg].length
+    half_len = veh.length / 2.0
+    front = veh.s + half_len
+    rear = veh.s - half_len
     pieces = []
-    lo = max(0.0, veh.rear)
-    hi = min(seg.length, veh.front)
+    lo = rear if rear > 0.0 else 0.0
+    hi = front if front < seg_len else seg_len
     if hi > lo:
         pieces.append((veh.seg, veh.lane_idx, lo, hi))
-    if veh.front > seg.length:
+    if front > seg_len:
         nxt = next_segment(road, veh)
         if nxt is not None:
-            pieces.append((nxt, veh.lane_idx, 0.0, veh.front - seg.length))
-    if veh.rear < 0.0:
+            pieces.append((nxt, veh.lane_idx, 0.0, front - seg_len))
+    if rear < 0.0:
         prev = prev_segment(road, veh)
         if prev is not None:
-            plen = road.segment(prev).length
-            pieces.append((prev, veh.lane_idx, plen + veh.rear, plen))
+            plen = road.segments[prev].length
+            pieces.append((prev, veh.lane_idx, plen + rear, plen))
     return pieces
 
 
@@ -267,24 +280,36 @@ class LaneIndex:
         self.road = road
         self.by_lane: dict[tuple[str, int], list[tuple[float, float, str]]] = {}
         self._pieces: dict[str, list[tuple[str, int, float, float]]] = {}
+        by_lane = self.by_lane
         for vid, veh in vehicles.items():
-            self._add(vid, veh)
-        for entries in self.by_lane.values():
+            pieces = self._pieces[vid] = occupancy_pieces(road, veh)
+            for seg, lane, lo, hi in pieces:
+                entries = by_lane.get((seg, lane))
+                if entries is None:
+                    by_lane[(seg, lane)] = [(lo, hi, vid)]
+                else:
+                    entries.append((lo, hi, vid))
+        for entries in by_lane.values():
             entries.sort()
 
-    def _add(self, vid: str, veh: VehicleState) -> None:
-        pieces = occupancy_pieces(self.road, veh)
-        self._pieces[vid] = pieces
-        for seg, lane, lo, hi in pieces:
-            self.by_lane.setdefault((seg, lane), []).append((lo, hi, vid))
+    def copy(self) -> "LaneIndex":
+        """An index that :meth:`refresh` can change without touching this one."""
+        out = object.__new__(LaneIndex)
+        out.road = self.road
+        out.by_lane = dict(self.by_lane)
+        out._pieces = dict(self._pieces)
+        return out
 
     def refresh(self, vid: str, veh: VehicleState) -> None:
-        for seg, lane, lo, hi in self._pieces.get(vid, ()):
-            entries = self.by_lane.get((seg, lane), [])
-            self.by_lane[(seg, lane)] = [e for e in entries if e[2] != vid]
-        self._add(vid, veh)
-        for seg, lane, _, _ in self._pieces[vid]:
-            self.by_lane[(seg, lane)].sort()
+        """Re-place one vehicle.  Affected lane lists are replaced, never
+        changed in place, so they may be shared with the index copied from."""
+        old = self._pieces.get(vid, ())
+        pieces = self._pieces[vid] = occupancy_pieces(self.road, veh)
+        for key in {(seg, lane) for seg, lane, _, _ in (*old, *pieces)}:
+            entries = [e for e in self.by_lane.get(key, ()) if e[2] != vid]
+            entries += [(lo, hi, vid) for seg, lane, lo, hi in pieces if (seg, lane) == key]
+            entries.sort()
+            self.by_lane[key] = entries
 
     def entries(self, seg: str, lane: int) -> list[tuple[float, float, str]]:
         return self.by_lane.get((seg, lane), [])
@@ -296,8 +321,8 @@ class LaneIndex:
 def route_segments_ahead(road: RoadNet, veh: VehicleState, lookahead: float):
     """Yield (segment_id, arc) for route segments ahead of the vehicle, where
     ``arc`` is the distance from the vehicle's front to the segment start."""
-    arc = road.segment(veh.seg).length - veh.front
-    route = list(veh.route)
+    arc = road.segments[veh.seg].length - veh.front
+    route = veh.route
     idx = veh.route_idx
     while arc <= lookahead:
         if idx + 1 < len(route):
@@ -308,13 +333,13 @@ def route_segments_ahead(road: RoadNet, veh: VehicleState, lookahead: float):
             if entry is None:
                 return
             arm = road.approaches[entry]
-            route = [entry, f"out-{STRAIGHT_EXIT[arm]}"]
+            route = (entry, f"out-{STRAIGHT_EXIT[arm]}")
             idx = 0
             nxt = entry
         else:
             return
         yield nxt, arc
-        arc += road.segment(nxt).length
+        arc += road.segments[nxt].length
 
 
 def gap_ahead(
@@ -335,29 +360,40 @@ def gap_ahead(
     best = math.inf
     best_v = 0.0
     front = veh.front
-    for lo, hi, vid in index.entries(veh.seg, lane):
-        if vid == veh.id or hi <= front + 1e-9:
+    own = veh.id
+    by_lane = index.by_lane
+    reach = front + 1e-9
+    for lo, hi, vid in by_lane.get((veh.seg, lane), ()):
+        if vid == own or hi <= reach:
             continue
-        gap = max(0.0, lo - front)
+        gap = lo - front
+        if gap <= 0.0:
+            gap = 0.0
         if gap < best:
             other = vehicles[vid]
             best = gap
             best_v = -other.v if other.reversing else other.v
-    for seg_id, arc in route_segments_ahead(road, veh, lookahead):
-        if arc >= best:
-            break
-        for lo, hi, vid in index.entries(seg_id, lane):
-            if vid == veh.id:
-                continue
-            gap = max(0.0, arc + lo)
-            if gap < best:
-                other = vehicles[vid]
-                best = gap
-                best_v = -other.v if other.reversing else other.v
+    # Walk the route only when its first segment starts short of the
+    # nearest body found so far.
+    if road.segments[veh.seg].length - front < best:
+        for seg_id, arc in route_segments_ahead(road, veh, lookahead):
+            if arc >= best:
+                break
+            for lo, hi, vid in by_lane.get((seg_id, lane), ()):
+                if vid == own:
+                    continue
+                gap = arc + lo
+                if gap <= 0.0:
+                    gap = 0.0
+                if gap < best:
+                    other = vehicles[vid]
+                    best = gap
+                    best_v = -other.v if other.reversing else other.v
     if not veh.loop_route:
-        end = road.segment(veh.seg).length - front
+        segments = road.segments
+        end = segments[veh.seg].length - front
         for i in range(veh.route_idx + 1, len(veh.route)):
-            end += road.segment(veh.route[i]).length
+            end += segments[veh.route[i]].length
         if end <= lookahead:
             wall = max(0.0, end - 0.2)
             if wall < best:
@@ -404,12 +440,13 @@ def gap_behind(
 
 
 def _near_box(road: RoadNet, veh: VehicleState) -> bool:
-    if road.box is None or veh.lane_idx == SHOULDER:
+    box = road.box
+    if box is None or veh.lane_idx == SHOULDER:
         return False
-    if road.is_inbound(veh.seg):
-        return veh.front > road.segment(veh.seg).length - road.box.half
-    if road.is_outbound(veh.seg):
-        return veh.rear < road.box.half
+    if veh.seg in road.approaches:
+        return veh.front > road.segments[veh.seg].length - box.half
+    if veh.seg in road.outbound:
+        return veh.rear < box.half
     return False
 
 
@@ -425,23 +462,44 @@ def box_cells_of(road: RoadNet, veh: VehicleState) -> set[tuple[int, int]]:
 def build_box_occupancy(
     road: RoadNet,
     vehicles: dict[str, VehicleState],
-    index: "LaneIndex | None" = None,
+    index: LaneIndex,
 ) -> dict[str, set[tuple[int, int]]]:
     occ: dict[str, set[tuple[int, int]]] = {}
     for vid, veh in vehicles.items():
         if not _near_box(road, veh):
             continue
-        pieces = index.pieces(vid) if index is not None else occupancy_pieces(road, veh)
         cells: set[tuple[int, int]] = set()
-        for seg, lane, lo, hi in pieces:
+        for seg, lane, lo, hi in index.pieces(vid):
             cells |= road.box_cells_for_interval(seg, lane, lo, hi)
         if cells:
             occ[vid] = cells
     return occ
 
 
-@dataclass(frozen=True)
-class _Claim:
+# Every vehicle field that its occupancy pieces and box cells read.
+_PLACEMENT = attrgetter("seg", "lane_idx", "s", "length", "route", "route_idx", "loop_route")
+
+
+def occupancy(world: WorldState) -> tuple[LaneIndex, dict[str, set[tuple[int, int]]]]:
+    """The world's lane index and conflict-box occupancy; callers must not
+    change either.
+
+    Built once per world and kept on it, outside its compared and dumped
+    state, so a step reuses what the previous step's collision check built.
+    Each call compares the vehicles' placements with those the kept pair was
+    built from, so a world whose vehicles were moved in place gets a fresh
+    build.
+    """
+    vehicles = world.vehicles
+    key = (world.road, tuple(vehicles), tuple(map(_PLACEMENT, vehicles.values())))
+    kept = world._occupancy
+    if kept is None or kept[0] != key:
+        index = LaneIndex(world.road, vehicles)
+        kept = world._occupancy = (key, index, build_box_occupancy(world.road, vehicles, index))
+    return kept[1], kept[2]
+
+
+class _Claim(NamedTuple):
     vid: str
     arm: str
     cells: frozenset
@@ -461,17 +519,17 @@ def _build_claims(road: RoadNet, vehicles: dict[str, VehicleState], cfg: SimConf
     for vid, veh in vehicles.items():
         if veh.wrecked or veh.lane_idx == SHOULDER:
             continue
-        if not road.is_inbound(veh.seg):
+        if veh.seg not in road.approaches:
             continue
-        out = exit_segment(road, veh)
+        out = next_segment(road, veh)
         if out is None:
             continue
         depth = road.depth_of_front(veh.seg, veh.front)
-        if depth is None or depth < -zone:
+        if depth < -zone:
             continue
         if _is_exec_held(veh) or isinstance(veh.controller, Reverse):
             continue
-        cells = frozenset(road.path_cells(veh.seg, out, veh.lane_idx))
+        cells = road.path_cells(veh.seg, out, veh.lane_idx)
         straight = 0 if turn_of(road, veh.seg, out) == "straight" else 1
         arrived = veh.arrival_tick if veh.arrival_tick is not None else tick
         arm = road.approaches[veh.seg]
@@ -488,33 +546,30 @@ def _gating_wall(
     vehicles: dict[str, VehicleState],
 ) -> float | None:
     """Distance from the vehicle's front to where it must stop, or None."""
-    if road.box is None or not road.is_inbound(veh.seg) or veh.lane_idx == SHOULDER:
+    if road.box is None or veh.seg not in road.approaches or veh.lane_idx == SHOULDER:
         return None
-    out = exit_segment(road, veh)
+    out = next_segment(road, veh)
     if out is None:
         return None
     depth = road.depth_of_front(veh.seg, veh.front)
-    if depth is None or depth < -(cfg.stopline_offset + cfg.claim_distance):
+    if depth < -(cfg.stopline_offset + cfg.claim_distance):
         return None
 
-    own_cells = box_occ.get(veh.id, set())
-    remaining = road.crossing_path_cells(veh.seg, out, veh.lane_idx, max(depth, 0.0))
+    own_cells = box_occ.get(veh.id, ())
+    # Same-lane bodies are the car-following rule's job.
+    others = [
+        cells
+        for ovid, cells in box_occ.items()
+        if ovid != veh.id and not (vehicles[ovid].seg == veh.seg and vehicles[ovid].lane_idx == veh.lane_idx)
+    ]
     blocked_depth: float | None = None
-    base = max(0, math.floor(max(depth, 0.0)))
-    for i, cell in enumerate(remaining):
-        if cell in own_cells:
-            continue
-        for ovid, cells in box_occ.items():
-            if ovid == veh.id or cell not in cells:
-                continue
-            other = vehicles[ovid]
-            # Same-lane bodies are the car-following rule's job.
-            if other.seg == veh.seg and other.lane_idx == veh.lane_idx:
-                continue
-            blocked_depth = float(base + i)
-            break
-        if blocked_depth is not None:
-            break
+    if others:
+        remaining = road.crossing_path_cells(veh.seg, out, veh.lane_idx, max(depth, 0.0))
+        base = max(0, math.floor(max(depth, 0.0)))
+        for i, cell in enumerate(remaining):
+            if cell not in own_cells and any(cell in cells for cells in others):
+                blocked_depth = float(base + i)
+                break
 
     if depth >= 0.0:
         if blocked_depth is None:
@@ -575,10 +630,9 @@ def _in_lane_change_zone(road: RoadNet, veh: VehicleState, cfg: SimConfig) -> bo
     """True when lane changes are forbidden (inside or just short of the box)."""
     if road.box is None:
         return False
-    if road.is_inbound(veh.seg):
-        depth = road.depth_of_front(veh.seg, veh.front)
-        return depth is not None and depth > -cfg.lane_change_exclusion
-    if road.is_outbound(veh.seg):
+    if veh.seg in road.approaches:
+        return road.depth_of_front(veh.seg, veh.front) > -cfg.lane_change_exclusion
+    if veh.seg in road.outbound:
         return veh.rear < road.box.half
     return False
 
@@ -674,7 +728,7 @@ def detect_collisions(world: WorldState) -> list[CollisionEvent]:
     road = world.road
     vehicles = world.vehicles
     found: dict[frozenset, CollisionEvent] = {}
-    index = LaneIndex(road, vehicles)
+    index, occ = occupancy(world)
     for (seg, lane), entries in index.by_lane.items():
         for i in range(len(entries)):
             lo_i, hi_i, vid_i = entries[i]
@@ -688,7 +742,6 @@ def detect_collisions(world: WorldState) -> list[CollisionEvent]:
                     lane_name = "sh" if lane == SHOULDER else str(lane)
                     loc = f"{seg}:{lane_name}@{max(lo_i, lo_j):.2f}"
                     found[pair] = CollisionEvent(world.tick, a, b, loc)
-    occ = build_box_occupancy(road, vehicles, index)
     vids = sorted(occ, key=vid_num)
     for i in range(len(vids)):
         for j in range(i + 1, len(vids)):
@@ -704,6 +757,23 @@ def detect_collisions(world: WorldState) -> list[CollisionEvent]:
     return [found[k] for k in sorted(found, key=lambda p: tuple(sorted(p, key=vid_num)))]
 
 
+def _car_follow(
+    road: RoadNet,
+    index: LaneIndex,
+    vehicles: dict[str, VehicleState],
+    veh: VehicleState,
+    cfg: SimConfig,
+    box_occ: dict[str, set[tuple[int, int]]],
+    claims: dict[str, _Claim],
+) -> tuple[float, int]:
+    """Forward move under the car-following rule and right-of-way gating."""
+    gap, lv = gap_ahead(road, index, vehicles, veh)
+    wall = _gating_wall(road, veh, cfg, box_occ, claims, vehicles)
+    if wall is not None and wall < gap:
+        gap, lv = wall, 0.0
+    return _follow_speed(veh, gap, lv, cfg), 1
+
+
 def step(world: WorldState) -> WorldState:
     """Advance one tick.  Total and deterministic on well-formed states."""
     cfg = world.config
@@ -712,17 +782,23 @@ def step(world: WorldState) -> WorldState:
     vehicles = {vid: v.clone() for vid, v in world.vehicles.items()}
     order = sorted(vehicles, key=vid_num)
 
-    index = LaneIndex(road, vehicles)
-    _try_lane_moves(road, index, vehicles, order, cfg)
-
-    box_occ = build_box_occupancy(road, vehicles, index)
+    # The clones share their originals' placements until a lane move.
+    index, box_occ = occupancy(world)
+    index = index.copy()
+    if _try_lane_moves(road, index, vehicles, order, cfg):
+        box_occ = build_box_occupancy(road, vehicles, index)
     claims = _build_claims(road, vehicles, cfg, world.tick)
+    if len({claim.arm for claim in claims.values()}) < 2:
+        claims = {}  # right of way is contested only across arms
 
     # Decide speeds from the common post-lane-move snapshot.
     moves: dict[str, tuple[float, int]] = {}
     for vid in order:
         veh = vehicles[vid]
         ctrl = veh.controller
+        if ctrl is None and not veh.wrecked and not veh.reversing:
+            moves[vid] = _car_follow(road, index, vehicles, veh, cfg, box_occ, claims)
+            continue
         if veh.wrecked and not isinstance(ctrl, Relocate):
             moves[vid] = (0.0, 1)
             continue
@@ -780,33 +856,30 @@ def step(world: WorldState) -> WorldState:
             moves[vid] = (move / dt, 1)
             continue
         # Default car-following (also applies while a LaneShift waits).
-        gap, lv = gap_ahead(road, index, vehicles, veh)
-        wall = _gating_wall(road, veh, cfg, box_occ, claims, vehicles)
-        if wall is not None and wall < gap:
-            gap, lv = wall, 0.0
-        moves[vid] = (_follow_speed(veh, gap, lv, cfg), 1)
+        moves[vid] = _car_follow(road, index, vehicles, veh, cfg, box_occ, claims)
 
     # Integrate and transfer.
     half = road.box.half if road.box is not None else None
+    claim_depth = -(cfg.stopline_offset + cfg.claim_distance)
+    stamp = world.tick + 1
+    a_max = cfg.a_max
     for vid in order:
         veh = vehicles[vid]
         nv, direction = moves[vid]
-        veh.a = (nv - veh.v) / dt if direction > 0 else (-nv - (-veh.v if veh.reversing else veh.v)) / dt
-        veh.a = max(-cfg.a_max, min(cfg.a_max, veh.a))
+        a = (nv - veh.v) / dt if direction > 0 else (-nv - (-veh.v if veh.reversing else veh.v)) / dt
+        veh.a = max(-a_max, min(a_max, a))
         veh.v = nv
         veh.reversing = direction < 0 and nv > 0.0
         delta = nv * dt * direction
         veh.s += delta
         veh.odometer += abs(delta)
-        seg = road.segment(veh.seg)
-        if road.box is not None and road.is_inbound(veh.seg) and veh.box_entry_tick is None:
+        seg = road.segments[veh.seg]
+        if half is not None and (veh.box_entry_tick is None or veh.arrival_tick is None) and veh.seg in road.approaches:
             depth = road.depth_of_front(veh.seg, veh.front)
-            if depth is not None and depth >= 0.0:
-                veh.box_entry_tick = world.tick + 1
-        if road.box is not None and veh.arrival_tick is None and road.is_inbound(veh.seg):
-            depth = road.depth_of_front(veh.seg, veh.front)
-            if depth is not None and depth >= -(cfg.stopline_offset + cfg.claim_distance):
-                veh.arrival_tick = world.tick + 1
+            if veh.box_entry_tick is None and depth >= 0.0:
+                veh.box_entry_tick = stamp
+            if veh.arrival_tick is None and depth >= claim_depth:
+                veh.arrival_tick = stamp
         while veh.s > seg.length:
             nxt = next_segment(road, veh)
             if nxt is None:
@@ -820,8 +893,8 @@ def step(world: WorldState) -> WorldState:
                 veh.route = veh.route[:0] + _wrapped_route(road, veh)
                 veh.route_idx = 0
             veh.seg = veh.route[veh.route_idx]
-            seg = road.segment(veh.seg)
-        if half is not None and road.is_outbound(veh.seg) and veh.rear > half:
+            seg = road.segments[veh.seg]
+        if half is not None and veh.seg in road.outbound and veh.rear > half:
             veh.box_entry_tick = None
             veh.arrival_tick = None
         if veh.v < 0.05:
@@ -900,48 +973,3 @@ def fast_forward(world: WorldState, ticks: int) -> WorldState:
         veh.stopped_ticks += ticks
     return out
 
-
-# ── public control surface ────────────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class TargetSpeed:
-    speed: float
-
-
-@dataclass(frozen=True)
-class ReverseDistance:
-    distance: float
-
-
-@dataclass(frozen=True)
-class LaneChange:
-    direction: str  # "left" | "right"
-
-
-@dataclass(frozen=True)
-class HaltControl:
-    pass
-
-
-ControlInput = TargetSpeed | ReverseDistance | LaneChange | HaltControl
-
-
-def apply_control(world: WorldState, vehicle_id: str, ctrl: ControlInput) -> WorldState:
-    """Replace a vehicle's controller; takes effect on subsequent steps."""
-    if vehicle_id not in world.vehicles:
-        raise UnknownVehicleError(vehicle_id)
-    out = world.clone()
-    veh = out.vehicles[vehicle_id]
-    if isinstance(ctrl, TargetSpeed):
-        veh.desired = max(0.0, min(world.config.v_max, ctrl.speed))
-        veh.controller = None
-    elif isinstance(ctrl, ReverseDistance):
-        veh.controller = Reverse(remaining=ctrl.distance)
-    elif isinstance(ctrl, LaneChange):
-        veh.controller = LaneShift(direction=ctrl.direction)
-    elif isinstance(ctrl, HaltControl):
-        veh.controller = Halt()
-    else:
-        raise TypeError(f"unsupported control {ctrl!r}")
-    return out

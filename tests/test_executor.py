@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from anomaloop.commands import AnomalyLabel, parse, validate
+import hashlib
+
+from anomaloop.commands import AnomalyLabel, Verb, parse, validate
 from anomaloop.executor import (
-    Forward,
-    ReverseMove,
     StalePlan,
     Status,
     compile_plan,
@@ -46,8 +46,8 @@ class TestCompile:
             "ACTION v-0 move_forward speed=maintain"
         )
         ctls = compile_plan(plan_for(world, cfg, text), world, cfg)
-        reversers = [c for c in ctls if isinstance(c.program, ReverseMove)]
-        forwards = [c for c in ctls if isinstance(c.program, Forward)]
+        reversers = [c for c in ctls if c.command.verb is Verb.MOVE_BACKWARD]
+        forwards = [c for c in ctls if c.command.verb is Verb.MOVE_FORWARD]
         assert len(reversers) == 3 and len(forwards) == 1
         assert all(c.phase == 0 and c.hold_after for c in reversers)
         assert [c.release_rank for c in reversers] == [0, 1, 2]
@@ -57,13 +57,13 @@ class TestCompile:
         w = make_world(road, cfg, [make_vehicle("v-0", v=cfg.v_max, desired=cfg.v_max)])
         vplan = plan_for(w, cfg, "PLAN normal\nACTION v-0 move_forward speed=increase")
         (ctl,) = compile_plan(vplan, w, cfg)
-        assert ctl.program.target == pytest.approx(cfg.v_max)
+        assert ctl.target == pytest.approx(cfg.v_max)
 
     def test_decrease_target(self, road, cfg):
         w = make_world(road, cfg, [make_vehicle("v-0", v=2.0, desired=12.0)])
         vplan = plan_for(w, cfg, "PLAN normal\nACTION v-0 move_forward speed=decrease")
         (ctl,) = compile_plan(vplan, w, cfg)
-        assert ctl.program.target == 0.0
+        assert ctl.target == 0.0
 
     def test_stale_plan_rejected(self, road, cfg):
         w = make_world(road, cfg, [make_vehicle("v-0")])
@@ -101,6 +101,18 @@ class TestExecute:
         vehicles = [make_vehicle("v-0", s=20.0, v=8.0, desired=8.0), make_vehicle("v-1", lane=1, s=40.0, v=9.0, desired=9.0)]
         w = make_world(road, cfg, vehicles)
         w_exec, _ = execute(w, [], 200, stop_when=lambda _: False)
+        w_bare = w.clone()
+        for _ in range(200):
+            w_bare = step(w_bare)
+        assert w_exec.canonical_dump() == w_bare.canonical_dump()
+
+    def test_maintain_forward_matches_uncontrolled(self, road, cfg):
+        w = make_world(road, cfg, [make_vehicle("v-0", s=30.0, v=9.0, desired=9.0)])
+        vplan = plan_for(w, cfg, "PLAN normal\nACTION v-0 move_forward speed=maintain")
+        (ctl,) = compile_plan(vplan, w, cfg)
+        assert ctl.target == 9.0
+        w_exec, _ = execute(w, [ctl], 200, stop_when=lambda _: False)
+        assert ctl.status is Status.DONE
         w_bare = w.clone()
         for _ in range(200):
             w_bare = step(w_bare)
@@ -215,3 +227,32 @@ class TestSafetyFuzz:
             before = len(world.collisions)
             w2, _ = execute(world, ctls, 150)
             assert len(w2.collisions) == before, f"collision executing fuzz plan: {plan}"
+
+
+class TestExecutionFingerprint:
+    PINNED = "93680afa934c37b96c2cc77d1506f50fb4f3d3cedd7290cce7afb23f9699749f"
+
+    def test_fuzzed_execution_fingerprint(self, cfg):
+        """Execution logs and final worlds of 40 fuzzed plans over all five
+        kinds hash to a pinned digest.
+
+        The plans cover all six verbs and every start, done and safety-stop
+        event except a relocate safety-stop.  Recompute ``PINNED`` only in a
+        change that states it alters execution behaviour.
+        """
+        from anomaloop.world import RngStream
+
+        from conftest import random_valid_plan
+
+        rng = RngStream(4242)
+        digest = hashlib.sha256()
+        for trial in range(40):
+            kind = list(AnomalyLabel)[trial % 5]
+            world, _ = build(ScenarioSpec(kind, seed=rng.randint(0, 63)), cfg)
+            world = warm_up(world, cfg)
+            obs = observe(world)
+            vplan = validate(random_valid_plan(rng, obs), obs)
+            final, log = execute(world, compile_plan(vplan, world, cfg), 200)
+            digest.update(log.digest().encode())
+            digest.update(final.digest().encode())
+        assert digest.hexdigest() == self.PINNED

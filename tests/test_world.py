@@ -8,18 +8,19 @@ from hypothesis import given, strategies as st
 from anomaloop.geometry import four_way
 from anomaloop.observation import observe
 from anomaloop.world import (
-    HaltControl,
-    LaneChange,
-    ReverseDistance,
+    Halt,
+    LaneIndex,
+    LaneShift,
+    Reverse,
     RngStream,
     Scripted,
-    TargetSpeed,
     UnknownVehicleError,
     VehicleState,
-    apply_control,
     at_rest,
+    build_box_occupancy,
     detect_collisions,
     fast_forward,
+    occupancy,
     step,
 )
 from conftest import feasible_random_traffic, make_vehicle, make_world
@@ -84,31 +85,21 @@ class TestControls:
     def test_unknown_vehicle(self, road, cfg):
         w = make_world(road, cfg, [make_vehicle("v-0")])
         with pytest.raises(UnknownVehicleError):
-            apply_control(w, "v-99", HaltControl())
+            w.vehicle("v-99")
 
     def test_halt_brakes_to_rest_within_bound(self, road, cfg):
         v0 = 12.0
         w = make_world(road, cfg, [make_vehicle("v-0", s=20.0, v=v0)])
-        w = apply_control(w, "v-0", HaltControl())
+        w.vehicles["v-0"].controller = Halt()
         ticks = math.ceil(v0 / (cfg.a_max * cfg.dt))
         w = run(w, ticks)
         assert w.vehicles["v-0"].v == 0.0
-
-    def test_target_speed_equal_current_matches_uncontrolled(self, road, cfg):
-        a = make_vehicle("v-0", s=30.0, v=9.0, desired=9.0)
-        w_free = make_world(road, cfg, [a])
-        w_ctl = apply_control(w_free, "v-0", TargetSpeed(9.0))
-        for _ in range(200):
-            w_free = step(w_free)
-            w_ctl = step(w_ctl)
-        assert w_free.vehicles["v-0"].s == pytest.approx(w_ctl.vehicles["v-0"].s)
-        assert w_free.vehicles["v-0"].v == pytest.approx(w_ctl.vehicles["v-0"].v)
 
     def test_reverse_distance_five_metres(self, road, cfg):
         # Matches the staged reversal distances used for gridlock clearing.
         v = make_vehicle("v-0", s=100.0, v=0.0, desired=8.0)
         w = make_world(road, cfg, [v])
-        w = apply_control(w, "v-0", ReverseDistance(5.0))
+        w.vehicles["v-0"].controller = Reverse(remaining=5.0)
         w = run(w, 100)
         veh = w.vehicles["v-0"]
         assert veh.controller.done
@@ -117,7 +108,7 @@ class TestControls:
 
     def test_reverse_capped_speed(self, road, cfg):
         w = make_world(road, cfg, [make_vehicle("v-0", s=150.0, v=0.0, desired=8.0)])
-        w = apply_control(w, "v-0", ReverseDistance(15.0))
+        w.vehicles["v-0"].controller = Reverse(remaining=15.0)
         top = 0.0
         for _ in range(80):
             w = step(w)
@@ -130,7 +121,7 @@ class TestControls:
         mover = make_vehicle("v-0", lane=1, s=50.0, v=8.0, desired=8.0)
         blocker = make_vehicle("v-1", lane=0, s=50.0, v=8.0, desired=8.0)
         w = make_world(road, cfg, [mover, blocker])
-        w = apply_control(w, "v-0", LaneChange("right"))
+        w.vehicles["v-0"].controller = LaneShift(direction="right")
         w2 = run(w, 5)
         assert w2.vehicles["v-0"].lane_idx == 1  # alongside: held
         # Clear the target lane: change happens.
@@ -168,7 +159,7 @@ class TestRest:
         blocker = make_vehicle("v-1", lane=0, s=50.0, v=0.0, desired=0.0)
         w = make_world(road, cfg, [mover, blocker])
         assert at_rest(w, step(w))  # both parked: nothing changes
-        w = apply_control(w, "v-0", LaneChange("right"))
+        w.vehicles["v-0"].controller = LaneShift(direction="right")
         nxt = step(w)
         assert nxt.vehicles["v-0"].controller.held == 1
         assert nxt.vehicles["v-0"].s == w.vehicles["v-0"].s
@@ -181,6 +172,51 @@ class TestRest:
         assert w.vehicles["v-0"].arrival_tick is None and nxt.vehicles["v-0"].arrival_tick == 1
         assert not at_rest(w, nxt)
         assert at_rest(nxt, step(nxt))
+
+
+class TestOccupancy:
+    """`occupancy` keeps its lane index and box cells on the world; a kept
+    pair must always equal a fresh build."""
+
+    @staticmethod
+    def fresh(world):
+        index = LaneIndex(world.road, world.vehicles)
+        return index.by_lane, build_box_occupancy(world.road, world.vehicles, index)
+
+    def test_kept_pair_matches_fresh_build_while_stepping(self, road, cfg):
+        vehicles = feasible_random_traffic(road, cfg, RngStream(7), 10)
+        w = make_world(road, cfg, vehicles, seed=7)
+        lane_changes = 0
+        for _ in range(400):
+            index, occ = occupancy(w)
+            assert (index.by_lane, occ) == self.fresh(w)
+            nxt = step(w)
+            # A clone keeps nothing, so stepping it builds everything afresh.
+            assert nxt.vehicles == step(w.clone()).vehicles
+            lane_changes += sum(nxt.vehicles[vid].lane_idx != w.vehicles[vid].lane_idx for vid in w.vehicles)
+            w = nxt
+        assert lane_changes > 0
+
+    def test_vehicle_moved_in_place_gets_fresh_build(self, road, cfg):
+        w = step(make_world(road, cfg, [make_vehicle("v-0", s=50.0, v=5.0), make_vehicle("v-1", s=80.0, v=5.0)]))
+        occupancy(w)
+        w.vehicles["v-0"].s = 78.0  # now right behind v-1
+        w.vehicles["v-1"].lane_idx = 1
+        index, occ = occupancy(w)
+        assert (index.by_lane, occ) == self.fresh(w)
+        assert step(w).vehicles == step(w.clone()).vehicles
+
+    def test_refresh_leaves_the_copied_index_unchanged(self, road, cfg):
+        w = make_world(road, cfg, [make_vehicle("v-0", s=50.0), make_vehicle("v-1", s=60.0, lane=1)])
+        index, _ = occupancy(w)
+        snapshot = {key: list(entries) for key, entries in index.by_lane.items()}
+        moved = w.vehicles["v-0"].clone()
+        moved.lane_idx = 1
+        changed = index.copy()
+        changed.refresh("v-0", moved)
+        assert index.by_lane == snapshot
+        assert [e[2] for e in changed.entries("in-w", 1)] == ["v-0", "v-1"]
+        assert changed.entries("in-w", 0) == []
 
 
 class TestDetectCollisions:
