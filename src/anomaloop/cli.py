@@ -1,12 +1,19 @@
 """Command-line entry point: run, batch, conformance, validate-plan.
 
-Exit codes: 0 resolved/ok, 1 unresolved/invalid, 2 config errors,
-3 resolver transport exhaustion.
+Exit codes:
+  0  resolved, or ok
+  1  unresolved episode, failed conformance stage or invalid plan
+  2  bad input: a malformed config or scenario file, an unknown key, a
+     missing file (ConfigError); bad scenario params (InvalidParams); a
+     missing or rejected API key (AuthError)
+  3  the remote resolver's transport gave up: retries spent
+     (BudgetExceeded) or a failure not worth retrying (TransportError)
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,7 +31,8 @@ from .harness import (
     write_episode_artifacts,
 )
 from .observation import observe
-from .scenarios import InvalidParams, ScenarioSpec, build, load_spec, warm_up
+from .remote import AuthError, BudgetExceeded, TransportError
+from .scenarios import InvalidParams, build, load_spec, warm_up
 
 EXIT_OK = 0
 EXIT_UNRESOLVED = 1
@@ -33,7 +41,9 @@ EXIT_TRANSPORT = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="anomaloop", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="anomaloop", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -66,54 +76,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cfg(path: str) -> SimConfig:
-    if not path:
-        return SimConfig()
-    return SimConfig.from_mapping(parse_kv_file(path))
+def _load_config(path: str) -> tuple[SimConfig, dict[str, str]]:
+    """The ``--config`` file's simulation config and its resolver entries
+    (``endpoint``, ``model``); any other key must name a SimConfig field."""
+    entries = parse_kv_file(path) if path else {}
+    resolver = {key: entries.pop(key)[0] for key in ("endpoint", "model") if key in entries}
+    return SimConfig.from_mapping(entries), resolver
 
 
-def _resolver_spec(args, entries: dict | None = None) -> ResolverSpec:
-    endpoint = args.endpoint
-    model = args.model
-    if entries:
-        endpoint = endpoint or entries.get("endpoint", ("", 0))[0]
-        model = model or entries.get("model", ("", 0))[0]
-    return ResolverSpec(kind=args.resolver, endpoint=endpoint, model=model)
-
-
-def _transport_errors():
-    from .remote import AuthError, BudgetExceeded, TransportError
-
-    return AuthError, BudgetExceeded, TransportError
+def _resolver_spec(args, file_entries: dict[str, str]) -> ResolverSpec:
+    """Command-line flags win over the config file's entries."""
+    return ResolverSpec(
+        kind=args.resolver,
+        endpoint=args.endpoint or file_entries.get("endpoint", ""),
+        model=args.model or file_entries.get("model", ""),
+    )
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load_cfg(args.config)
-        entries = parse_kv_file(args.config) if args.config else {}
-        spec = load_spec(args.scenario)
-        if args.seed is not None:
-            spec = ScenarioSpec(
-                kind=spec.kind, seed=args.seed, params=spec.params,
-                tick_budget=spec.tick_budget, resolve_budget=spec.resolve_budget,
-            )
-        resolver_spec = _resolver_spec(args, entries)
-        resolver_spec.create(cfg)  # fail fast on bad resolver config
-    except (ConfigError, InvalidParams, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    AuthError, BudgetExceeded, TransportError = _transport_errors()
-    try:
-        ep, metrics, report, transcript = run_episode(spec, resolver_spec, cfg)
-    except AuthError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (BudgetExceeded, TransportError) as err:
-        print(f"transport error: {err}", file=sys.stderr)
-        return EXIT_TRANSPORT
-    except InvalidParams as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg, file_entries = _load_config(args.config)
+    spec = load_spec(args.scenario)
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
+    resolver_spec = _resolver_spec(args, file_entries)
+    ep, metrics, report, transcript = run_episode(spec, resolver_spec, cfg)
     write_episode_artifacts(args.out, report, transcript)
     ttc = metrics.time_to_clear if metrics.time_to_clear is not None else "inf"
     print(f"{spec.kind.value} seed={spec.seed} resolved={ep.resolved} time_to_clear={ttc}")
@@ -121,33 +107,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    try:
-        cfg = _load_cfg(args.config)
-        entries = parse_kv_file(args.config) if args.config else {}
-        kinds = []
-        for token in args.kinds.split(","):
-            token = token.strip().lower()
-            if not token:
-                continue
-            try:
-                kinds.append(AnomalyLabel(token))
-            except ValueError:
-                raise ConfigError(f"unknown kind {token!r}", field="kinds") from None
-        specs = batch_specs(kinds, list(range(args.seeds)), args.repetitions)
-        resolver_spec = _resolver_spec(args, entries)
-        resolver_spec.create(cfg)
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    AuthError, BudgetExceeded, TransportError = _transport_errors()
-    try:
-        batch_report, transcript = run_batch(specs, resolver_spec, cfg, workers=args.workers)
-    except AuthError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (BudgetExceeded, TransportError) as err:
-        print(f"transport error: {err}", file=sys.stderr)
-        return EXIT_TRANSPORT
+    cfg, file_entries = _load_config(args.config)
+    kinds = []
+    for token in args.kinds.split(","):
+        token = token.strip().lower()
+        if not token:
+            continue
+        try:
+            kinds.append(AnomalyLabel(token))
+        except ValueError:
+            raise ConfigError(f"unknown kind {token!r}", field="kinds") from None
+    specs = batch_specs(kinds, list(range(args.seeds)), args.repetitions)
+    resolver_spec = _resolver_spec(args, file_entries)
+    batch_report, transcript = run_batch(specs, resolver_spec, cfg, workers=args.workers)
     write_batch_artifacts(args.out, batch_report, transcript)
     rows = batch_report["timing"]
     print(f"{'kind':<12}{'scene_s':>10}{'analysis_s':>12}{'solution_s':>12}{'formatting_s':>14}{'total_s':>10}")
@@ -162,22 +134,9 @@ def cmd_batch(args) -> int:
 
 
 def cmd_conformance(args) -> int:
-    try:
-        cfg = _load_cfg(args.config)
-        entries = parse_kv_file(args.config) if args.config else {}
-        resolver = _resolver_spec(args, entries).create(cfg)
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    AuthError, BudgetExceeded, TransportError = _transport_errors()
-    try:
-        checklist = run_conformance(resolver, cfg, seeds=args.seeds)
-    except AuthError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (BudgetExceeded, TransportError) as err:
-        print(f"transport error: {err}", file=sys.stderr)
-        return EXIT_TRANSPORT
+    cfg, file_entries = _load_config(args.config)
+    resolver = _resolver_spec(args, file_entries).create(cfg)
+    checklist = run_conformance(resolver, cfg, seeds=args.seeds)
     print(format_conformance(checklist))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -186,13 +145,12 @@ def cmd_conformance(args) -> int:
 
 
 def cmd_validate_plan(args) -> int:
+    cfg, _ = _load_config(args.config)
+    spec = load_spec(args.scenario)
     try:
-        cfg = _load_cfg(args.config)
-        spec = load_spec(args.scenario)
         plan_text = Path(args.plan).read_text()
-    except (ConfigError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    except OSError as err:
+        raise ConfigError(f"cannot read plan: {err}") from None
     world, _ = build(spec, cfg)
     world = warm_up(world, cfg)
     obs = observe(world)
@@ -214,7 +172,14 @@ def main(argv: list[str] | None = None) -> int:
         "conformance": cmd_conformance,
         "validate-plan": cmd_validate_plan,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (ConfigError, InvalidParams, AuthError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (BudgetExceeded, TransportError) as err:
+        print(f"transport error: {err}", file=sys.stderr)
+        return EXIT_TRANSPORT
 
 
 if __name__ == "__main__":

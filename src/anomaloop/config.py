@@ -115,11 +115,12 @@ class SimConfig:
 
     @classmethod
     def from_mapping(cls, entries: dict[str, tuple[str, int]]) -> "SimConfig":
+        """Build from parsed entries; every key must name a field."""
         field_names = {f.name for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, (raw, lineno) in entries.items():
             if key not in field_names:
-                continue
+                raise ConfigError(f"unknown key {key!r}", line=lineno, field=key)
             value = coerce_scalar(raw)
             if not isinstance(value, (int, float, bool)):
                 raise ConfigError(f"expected a number for '{key}'", line=lineno, field=key)

@@ -31,7 +31,6 @@ from typing import Callable
 from . import commands
 from .commands import AnomalyLabel, InterventionCommand, SpeedChange, ValidatedPlan, Verb
 from .config import SimConfig
-from .geometry import SHOULDER
 from .world import (
     Halt,
     LaneShift,
@@ -39,8 +38,8 @@ from .world import (
     Reverse,
     WorldState,
     at_rest,
-    box_cells_of,
     fast_forward,
+    occupancy,
     step,
     vid_num,
 )
@@ -119,11 +118,7 @@ def compile_plan(vplan: ValidatedPlan, world: WorldState, cfg: SimConfig | None 
 
 def _ring_clear(world: WorldState, ring: set[str]) -> bool:
     """True when none of the plan's vehicles still occupies the box."""
-    for vid in ring:
-        veh = world.vehicles.get(vid)
-        if veh is not None and veh.lane_idx != SHOULDER and box_cells_of(world.road, veh):
-            return False
-    return True
+    return ring.isdisjoint(occupancy(world)[1])
 
 
 def _activate(ctl: VehicleController, world: WorldState, log: ExecutionLog) -> None:

@@ -36,9 +36,6 @@ class LaneSegment:
     lanes: int
     direction: str  # compass heading of travel: E/W/N/S
 
-    def lane_id(self, idx: int) -> str:
-        return f"{self.id}:{idx}"
-
 
 @dataclass(frozen=True)
 class ConflictBox:
@@ -104,12 +101,6 @@ class RoadNet:
     def segment(self, seg_id: str) -> LaneSegment:
         return self.segments[seg_id]
 
-    def has_lane(self, seg_id: str, lane: int) -> bool:
-        seg = self.segments.get(seg_id)
-        if seg is None:
-            return False
-        return lane == SHOULDER or 0 <= lane < seg.lanes
-
     def is_inbound(self, seg_id: str) -> bool:
         return seg_id in self.approaches
 
@@ -133,27 +124,11 @@ class RoadNet:
 
     # ── conflict-box mapping ──────────────────────────────────────────────
 
-    def box_depth(self, seg_id: str, s: float) -> float | None:
-        """Depth of a longitudinal position, or None when outside the box."""
-        if self.box is None:
-            return None
-        half = self.box.half
-        seg = self.segments[seg_id]
-        if self.is_inbound(seg_id):
-            d = s - (seg.length - half)
-            return d if d > 0 else None
-        if self.is_outbound(seg_id):
-            if s < half:
-                return half + s
-            return None
-        return None
-
     def depth_of_front(self, seg_id: str, s_front: float) -> float | None:
-        """Signed depth of a body front: negative while still short of entry."""
+        """Signed depth of a body front on an approach: negative while still
+        short of entry."""
         if self.box is None:
             return None
-        if seg_id not in self.approaches:
-            return self.box_depth(seg_id, s_front)
         return s_front - (self.segments[seg_id].length - self.box.half)
 
     def box_cells_for_interval(self, seg_id: str, lane: int, lo: float, hi: float) -> set[tuple[int, int]]:

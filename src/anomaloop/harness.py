@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .commands import AnomalyLabel
-from .config import SimConfig
+from .config import ConfigError, SimConfig
 from .executor import EpisodeResult, run_closed_loop
 from .metrics import ControlRun, Metrics, compute_metrics, run_control
 from .observation import observe
@@ -56,16 +56,19 @@ class ResolverSpec:
     endpoint: str = ""
     model: str = ""
 
+    def __post_init__(self):
+        if self.kind not in ("oracle", "remote"):
+            raise ConfigError(f"unknown resolver {self.kind!r}", field="resolver")
+        if self.kind == "remote" and not (self.endpoint and self.model):
+            raise ConfigError("remote resolver needs --endpoint and --model")
+
     def create(self, cfg: SimConfig) -> Resolver:
         if self.kind == "oracle":
             return OracleResolver(cfg)
-        if self.kind == "remote":
-            from .remote import EndpointConfig, RemoteResolver
+        # Imported here: `requests` is slow to import and only remote runs need it.
+        from .remote import EndpointConfig, RemoteResolver
 
-            if not self.endpoint or not self.model:
-                raise ValueError("remote resolver needs --endpoint and --model")
-            return RemoteResolver(EndpointConfig(base_url=self.endpoint, model=self.model))
-        raise ValueError(f"unknown resolver {self.kind!r}")
+        return RemoteResolver(EndpointConfig(base_url=self.endpoint, model=self.model))
 
 
 # ── single episode ────────────────────────────────────────────────────────

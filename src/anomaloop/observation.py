@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .geometry import RoadNet, four_way, turn_of
-from .world import WorldState, box_cells_of, exit_segment
+from .world import WorldState, exit_segment, occupancy
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,7 @@ def observe(world: WorldState) -> SceneObservation:
     cfg = world.config
     rows = []
     occupants = []
+    _, occ = occupancy(world)
     for vid in world.ordered_ids():
         veh = world.vehicles[vid]
         seg = road.segment(veh.seg)
@@ -129,7 +130,7 @@ def observe(world: WorldState) -> SceneObservation:
                 box_depth=depth,
             )
         )
-        if box_cells_of(road, veh):
+        if vid in occ:
             arm = road.arm_of(veh.seg) or "-"
             occupants.append(
                 BoxOccupant(

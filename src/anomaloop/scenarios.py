@@ -22,8 +22,8 @@ from .world import (
     VehicleState,
     WorldState,
     at_rest,
-    box_cells_of,
     fast_forward,
+    occupancy,
     step,
 )
 
@@ -148,7 +148,7 @@ def _build_normal(spec, road, rng, cfg):
         route = _ARM_ROUTES[arm]
         vid = f"v-{k}"
         vehicles[vid] = _vehicle(vid, route[0], k % 2, s, desired, desired, route, loop=True)
-    world = WorldState(0, road, vehicles, (), rng, cfg)
+    world = WorldState(0, road, vehicles, (), cfg)
     truth = GroundTruth(
         label=AnomalyLabel.NORMAL,
         involved=(),
@@ -175,7 +175,7 @@ def _build_congestion(spec, road, rng, cfg):
             vid = f"v-{k}"
             vehicles[vid] = _vehicle(vid, route[0], j % 2, s, min(8.0, desired), desired, route, loop=True)
             k += 1
-    world = WorldState(0, road, vehicles, (), rng, cfg)
+    world = WorldState(0, road, vehicles, (), cfg)
     truth = GroundTruth(
         label=AnomalyLabel.CONGESTION,
         involved=(),
@@ -212,7 +212,7 @@ def _build_ghost_jam(spec, road, rng, cfg):
         s = blocker_s - 12.0 - 10.0 * j
         vehicles[vid] = _vehicle(vid, "in-w", j % 2, s, 4.0, desired, _ARM_ROUTES["w"], loop=True)
         roles[vid] = "follower"
-    world = WorldState(0, road, vehicles, (), rng, cfg)
+    world = WorldState(0, road, vehicles, (), cfg)
     truth = GroundTruth(
         label=AnomalyLabel.GHOST_JAM,
         involved=tuple(vehicles),
@@ -254,7 +254,7 @@ def _build_deadlock(spec, road, rng, cfg):
             vehicles[vid] = _vehicle(vid, f"in-{arm}", 0, s, 6.0, desired, _ARM_ROUTES[arm])
             roles[vid] = "queued"
             k += 1
-    world = WorldState(0, road, vehicles, (), rng, cfg)
+    world = WorldState(0, road, vehicles, (), cfg)
     truth = GroundTruth(
         label=AnomalyLabel.DEADLOCK,
         involved=tuple(ring),
@@ -294,7 +294,7 @@ def _build_accident(spec, road, rng, cfg):
             roles[vid] = "queued"
             k += 1
     staged = CollisionEvent(0, "v-0", "v-1", "box@4,4")
-    world = WorldState(0, road, vehicles, (staged,), rng, cfg)
+    world = WorldState(0, road, vehicles, (staged,), cfg)
     truth = GroundTruth(
         label=AnomalyLabel.ACCIDENT,
         involved=("v-1", "v-0"),
@@ -321,10 +321,9 @@ def is_resolved(world: WorldState, truth: GroundTruth) -> bool:
             ratios.append(min(v, want) / want)
         return sum(ratios) / len(ratios) >= 0.6
     if truth.label is AnomalyLabel.DEADLOCK:
+        if occupancy(world)[1]:
+            return False
         road = world.road
-        for veh in world.vehicles.values():
-            if veh.lane_idx != SHOULDER and box_cells_of(road, veh):
-                return False
         for vid in truth.involved:
             veh = world.vehicles[vid]
             if veh.v > 0.05 and not veh.reversing:

@@ -36,10 +36,9 @@ def vid_num(vehicle_id: str) -> int:
 
 @dataclass
 class RngStream:
-    """Tiny splitmix64 stream: seedable, cloneable, serialisable."""
+    """Tiny splitmix64 stream: seedable and serialisable."""
 
     state: int
-    drawn: int = 0
 
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _U64
@@ -47,7 +46,6 @@ class RngStream:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
         z ^= z >> 31
-        self.drawn += 1
         return z
 
     def uniform(self, a: float = 0.0, b: float = 1.0) -> float:
@@ -58,9 +56,6 @@ class RngStream:
 
     def choice(self, seq):
         return seq[self.next_u64() % len(seq)]
-
-    def clone(self) -> "RngStream":
-        return RngStream(self.state, self.drawn)
 
 
 # ── per-vehicle controllers (world-level primitives) ─────────────────────
@@ -120,7 +115,6 @@ class VehicleState:
     route: tuple[str, ...]
     route_idx: int = 0
     length: float = 4.5
-    a: float = 0.0
     wrecked: bool = False
     loop_route: bool = False
     reversing: bool = False
@@ -176,7 +170,6 @@ class WorldState:
     road: RoadNet
     vehicles: dict[str, VehicleState]
     collisions: tuple[CollisionEvent, ...]
-    rng: RngStream
     config: SimConfig
     # What `occupancy` built for these vehicles: (placement key, index, box cells).
     _occupancy: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -200,7 +193,6 @@ class WorldState:
             road=self.road,
             vehicles={vid: v.clone() for vid, v in self.vehicles.items()},
             collisions=self.collisions,
-            rng=self.rng.clone(),
             config=self.config,
         )
 
@@ -448,15 +440,6 @@ def _near_box(road: RoadNet, veh: VehicleState) -> bool:
     if veh.seg in road.outbound:
         return veh.rear < box.half
     return False
-
-
-def box_cells_of(road: RoadNet, veh: VehicleState) -> set[tuple[int, int]]:
-    if not _near_box(road, veh):
-        return set()
-    cells: set[tuple[int, int]] = set()
-    for seg, lane, lo, hi in occupancy_pieces(road, veh):
-        cells |= road.box_cells_for_interval(seg, lane, lo, hi)
-    return cells
 
 
 def build_box_occupancy(
@@ -862,12 +845,9 @@ def step(world: WorldState) -> WorldState:
     half = road.box.half if road.box is not None else None
     claim_depth = -(cfg.stopline_offset + cfg.claim_distance)
     stamp = world.tick + 1
-    a_max = cfg.a_max
     for vid in order:
         veh = vehicles[vid]
         nv, direction = moves[vid]
-        a = (nv - veh.v) / dt if direction > 0 else (-nv - (-veh.v if veh.reversing else veh.v)) / dt
-        veh.a = max(-a_max, min(a_max, a))
         veh.v = nv
         veh.reversing = direction < 0 and nv > 0.0
         delta = nv * dt * direction
@@ -902,7 +882,7 @@ def step(world: WorldState) -> WorldState:
         else:
             veh.stopped_ticks = 0
 
-    interim = WorldState(world.tick + 1, road, vehicles, world.collisions, world.rng.clone(), cfg)
+    interim = WorldState(world.tick + 1, road, vehicles, world.collisions, cfg)
     seen = {ev.pair() for ev in world.collisions}
     new_events = [ev for ev in detect_collisions(interim) if ev.pair() not in seen]
     if new_events:
@@ -929,7 +909,7 @@ def _wrapped_route(road: RoadNet, veh: VehicleState) -> tuple[str, ...]:
 
 # Every vehicle field `step` reads and may also write.  `id`, `length` and
 # `loop_route` are read but never written, so they cannot differ between a
-# world and its successor; `a` and `stopped_ticks` are written but never read.
+# world and its successor; `stopped_ticks` is written but never read.
 _STEP_STATE = attrgetter(
     "s", "v", "odometer", "seg", "lane_idx", "route", "route_idx", "reversing",
     "wrecked", "desired", "arrival_tick", "box_entry_tick", "lane_cooldown", "controller",
@@ -963,9 +943,7 @@ def fast_forward(world: WorldState, ticks: int) -> WorldState:
 
     Only the fields ``step`` writes but never reads move: the tick, and each
     vehicle's ``stopped_ticks``, which counts up because every vehicle is
-    stopped (a speed of 0.05 m/s or more would have moved it).  ``a``, the
-    other written-only field, comes out the same from every such step, and
-    ``step`` never draws from the random stream.
+    stopped (a speed of 0.05 m/s or more would have moved it).
     """
     out = world.clone()
     out.tick += ticks

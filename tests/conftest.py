@@ -21,8 +21,8 @@ def road():
     return four_way()
 
 
-def make_world(road, cfg, vehicles, seed=7, tick=0):
-    return WorldState(tick, road, {v.id: v for v in vehicles}, (), RngStream(seed), cfg)
+def make_world(road, cfg, vehicles, tick=0):
+    return WorldState(tick, road, {v.id: v for v in vehicles}, (), cfg)
 
 
 def make_vehicle(vid, seg="in-w", lane=0, s=50.0, v=10.0, desired=None, route=None, loop=False, **kw):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+from anomaloop import remote
 from anomaloop.cli import main
 from anomaloop.commands import AnomalyLabel
 from anomaloop.harness import (
@@ -160,11 +164,17 @@ class TestCli:
         assert code == 2
         assert "missing.scenario" in capsys.readouterr().err
 
-    def test_remote_without_endpoint_exit_two(self, tmp_path):
-        code = main(
-            ["run", "--scenario", str(SCENARIOS / "normal.scenario"), "--resolver", "remote", "--out", str(tmp_path)]
-        )
-        assert code == 2
+    def test_remote_without_endpoint_exit_two(self, tmp_path, capsys):
+        for command in (
+            ["run", "--scenario", str(SCENARIOS / "normal.scenario")],
+            ["batch", "--kinds", "normal", "--seeds", "1"],
+            ["conformance", "--seeds", "1"],
+        ):
+            for model in ([], ["--model", "m"]):
+                code = main([*command, "--resolver", "remote", *model, "--out", str(tmp_path)])
+                assert code == 2
+                assert "needs --endpoint and --model" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_batch_writes_artifacts(self, tmp_path):
         out = tmp_path / "batch"
@@ -185,6 +195,59 @@ class TestCli:
         code = main(["validate-plan", "--plan", str(bad), "--scenario", str(SCENARIOS / "ghost_jam.scenario")])
         assert code == 1
         assert "v-99" in capsys.readouterr().out
+
+    def test_validate_plan_bad_params_exit_two(self, tmp_path, capsys):
+        scenario = tmp_path / "crowded.scenario"
+        scenario.write_text("kind = normal\nparam.vehicles = 13\n")
+        plan = tmp_path / "p.plan"
+        plan.write_text("PLAN normal\n")
+        code = main(["validate-plan", "--plan", str(plan), "--scenario", str(scenario)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: vehicles > 12")
+
+    def remote_run(self, tmp_path):
+        return main([
+            "run", "--scenario", str(SCENARIOS / "ghost_jam.scenario"), "--resolver", "remote",
+            "--endpoint", "http://127.0.0.1:9", "--model", "m", "--out", str(tmp_path),
+        ])
+
+    def test_missing_api_key_exit_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv(remote.API_KEY_ENV, raising=False)
+        assert self.remote_run(tmp_path) == 2
+        assert remote.API_KEY_ENV in capsys.readouterr().err
+
+    def test_transport_exhaustion_exit_three(self, tmp_path, monkeypatch, capsys):
+        def exhausted(endpoint, messages, **kw):
+            raise remote.BudgetExceeded("gave up after 4 attempts")
+
+        monkeypatch.setattr(remote, "chat_completion", exhausted)
+        assert self.remote_run(tmp_path) == 3
+        assert capsys.readouterr().err == "transport error: gave up after 4 attempts\n"
+
+    def test_config_rejects_unknown_key(self, tmp_path, capsys):
+        conf = tmp_path / "typo.conf"
+        conf.write_text("dt = 0.1\nwarmup_tiks = 10\n")
+        code = main(["run", "--scenario", str(SCENARIOS / "normal.scenario"), "--config", str(conf),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "unknown key 'warmup_tiks' (line 2, field 'warmup_tiks')" in capsys.readouterr().err
+
+    def test_config_resolver_entries_are_not_sim_constants(self, tmp_path):
+        code = main(["run", "--scenario", str(SCENARIOS / "normal.scenario"),
+                     "--config", str(SCENARIOS / "anomaloop.conf"), "--out", str(tmp_path)])
+        assert code == 0
+
+
+class TestImportCost:
+    def test_oracle_path_does_not_import_requests(self):
+        """`requests` is slow to import; only the remote resolver needs it."""
+        modules = "commands,config,executor,geometry,harness,metrics,observation,pipeline,scenarios,world"
+        code = (
+            f"import sys\nfrom anomaloop import {modules}\n"
+            "assert 'requests' not in sys.modules, 'requests was imported'\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
 class TestReproducibility:

@@ -67,18 +67,19 @@ class TestAnalyze:
         assert sorted(ring) == sorted(truth.involved)
         # Independent check of the cyclic blocking order: each vehicle's
         # onward path cells intersect the next vehicle's body cells.
-        from anomaloop.world import box_cells_of, exit_segment
+        from anomaloop.world import exit_segment, occupancy
 
         road = world.road
+        box = occupancy(world)[1]
         for i, vid in enumerate(ring):
             nxt = world.vehicles[ring[(i + 1) % len(ring)]]
             veh = world.vehicles[vid]
             out = exit_segment(road, veh)
             depth = road.depth_of_front(veh.seg, veh.front)
             remaining = road.crossing_path_cells(veh.seg, out, veh.lane_idx, max(depth, 0.0))
-            own = box_cells_of(road, veh)
+            own = box.get(vid, set())
             ahead = [c for c in remaining if c not in own]
-            assert set(ahead) & box_cells_of(road, nxt), f"{vid} does not wait on {nxt.id}"
+            assert set(ahead) & box.get(nxt.id, set()), f"{vid} does not wait on {nxt.id}"
 
     def test_accident_violator_first(self, cfg):
         obs, truth, _ = observed(AnomalyLabel.ACCIDENT, 4, cfg)

@@ -14,7 +14,7 @@ from anomaloop.scenarios import (
     save_spec,
     warm_up,
 )
-from anomaloop.world import box_cells_of, step
+from anomaloop.world import occupancy, step
 
 ANOMALIES = (AnomalyLabel.GHOST_JAM, AnomalyLabel.DEADLOCK, AnomalyLabel.ACCIDENT)
 
@@ -46,11 +46,12 @@ class TestBuild:
         spec = ScenarioSpec(kind=AnomalyLabel.DEADLOCK, seed=seed)
         world, truth = build(spec, cfg)
         world = warm_up(world, cfg)
+        box = occupancy(world)[1]
         for vid in truth.involved:
             veh = world.vehicles[vid]
             assert veh.v == 0.0
             assert veh.stopped_ticks >= cfg.deadlock_window
-            assert box_cells_of(world.road, veh)
+            assert box.get(vid)
         assert not world.collisions
 
     @pytest.mark.parametrize("seed", [0, 7, 13])

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from anomaloop.commands import AnomalyLabel
+from anomaloop.config import SimConfig
 from anomaloop.geometry import four_way
 from anomaloop.observation import observe
+from anomaloop.scenarios import ScenarioSpec, build, warm_up
 from anomaloop.world import (
     Halt,
     LaneIndex,
@@ -135,9 +139,6 @@ class TestControls:
 
 class TestRest:
     def test_fast_forward_equals_stepping_a_resting_deadlock(self, cfg):
-        from anomaloop.commands import AnomalyLabel
-        from anomaloop.scenarios import ScenarioSpec, build
-
         w, _ = build(ScenarioSpec(kind=AnomalyLabel.DEADLOCK, seed=5), cfg)
         for _ in range(cfg.warmup_ticks):
             before, w = w, step(w)
@@ -185,7 +186,7 @@ class TestOccupancy:
 
     def test_kept_pair_matches_fresh_build_while_stepping(self, road, cfg):
         vehicles = feasible_random_traffic(road, cfg, RngStream(7), 10)
-        w = make_world(road, cfg, vehicles, seed=7)
+        w = make_world(road, cfg, vehicles)
         lane_changes = 0
         for _ in range(400):
             index, occ = occupancy(w)
@@ -275,9 +276,6 @@ class TestObserve:
         assert observe(w).vehicle_ids() == ["v-1", "v-2", "v-10"]
 
     def test_ghost_jam_observation_shows_slow_blocker_pair(self, cfg):
-        from anomaloop.commands import AnomalyLabel
-        from anomaloop.scenarios import ScenarioSpec, build, warm_up
-
         world, truth = build(ScenarioSpec(kind=AnomalyLabel.GHOST_JAM, seed=7), cfg)
         world = warm_up(world, cfg)
         obs = observe(world)
@@ -290,8 +288,8 @@ class TestInvariants:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_determinism_bit_for_bit(self, road, cfg, seed):
         vehicles = feasible_random_traffic(road, cfg, RngStream(seed), 10)
-        w1 = make_world(road, cfg, vehicles, seed=seed)
-        w2 = make_world(road, cfg, [v.clone() for v in vehicles], seed=seed)
+        w1 = make_world(road, cfg, vehicles)
+        w2 = make_world(road, cfg, [v.clone() for v in vehicles])
         for _ in range(500):
             w1 = step(w1)
             w2 = step(w2)
@@ -300,14 +298,14 @@ class TestInvariants:
     @pytest.mark.parametrize("seed", [11, 23, 37, 41, 59])
     def test_no_collision_in_ten_thousand_steps(self, road, cfg, seed):
         vehicles = feasible_random_traffic(road, cfg, RngStream(seed), 8)
-        w = make_world(road, cfg, vehicles, seed=seed)
+        w = make_world(road, cfg, vehicles)
         w = run(w, 10_000)
         assert w.collisions == ()
 
     @pytest.mark.parametrize("seed", [5, 17])
     def test_conservation_and_kinematic_bounds(self, road, cfg, seed):
         vehicles = feasible_random_traffic(road, cfg, RngStream(seed), 8)
-        w = make_world(road, cfg, vehicles, seed=seed)
+        w = make_world(road, cfg, vehicles)
         ids = set(w.vehicles)
         for _ in range(800):
             prev = w.vehicles
@@ -323,3 +321,23 @@ class TestInvariants:
     def test_rng_stream_deterministic(self, seed):
         a, b = RngStream(seed), RngStream(seed)
         assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
+
+
+class TestStepFingerprint:
+    PINNED = "97e5860e59886dcf1c15c384c4489353dda1dc8ba049a1ea56429848ef605e4a"
+
+    def test_per_step_world_fingerprint(self):
+        """The digest of every world over 300 steps of all five kinds, four
+        seeds each, hashes to a pinned value.
+
+        Recompute ``PINNED`` only in a change that states it alters world
+        behaviour.
+        """
+        digest = hashlib.sha256()
+        for kind in AnomalyLabel:
+            for seed in range(4):
+                w, _ = build(ScenarioSpec(kind, seed=seed), SimConfig())
+                for _ in range(300):
+                    w = step(w)
+                    digest.update(w.digest().encode())
+        assert digest.hexdigest() == self.PINNED
