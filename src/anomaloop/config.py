@@ -7,6 +7,7 @@ config files.  ``#`` starts a comment, blank lines are ignored.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,6 +75,11 @@ def coerce_scalar(raw: str):
     return raw
 
 
+# Float fields for which zero means nothing: the tick length, speed and
+# acceleration caps, and the body length.
+_POSITIVE = frozenset({"dt", "v_max", "a_max", "a_cruise", "reverse_v_max", "relocate_v", "vehicle_length"})
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Kinematic and behavioural constants for the micro-world.
@@ -115,14 +121,27 @@ class SimConfig:
 
     @classmethod
     def from_mapping(cls, entries: dict[str, tuple[str, int]]) -> "SimConfig":
-        """Build from parsed entries; every key must name a field."""
-        field_names = {f.name for f in dataclasses.fields(cls)}
+        """Build from parsed entries; every key must name a field.
+
+        Integer fields take non-negative integers.  Float fields take finite
+        numbers: positive for the ones in ``_POSITIVE``, non-negative otherwise.
+        """
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, (raw, lineno) in entries.items():
-            if key not in field_names:
+            if key not in defaults:
                 raise ConfigError(f"unknown key {key!r}", line=lineno, field=key)
             value = coerce_scalar(raw)
-            if not isinstance(value, (int, float, bool)):
-                raise ConfigError(f"expected a number for '{key}'", line=lineno, field=key)
+            if isinstance(defaults[key], int):
+                if type(value) is not int or value < 0:
+                    raise ConfigError(f"'{key}' must be a non-negative integer", line=lineno, field=key)
+            elif type(value) not in (int, float) or not math.isfinite(value):
+                raise ConfigError(f"'{key}' must be a finite number", line=lineno, field=key)
+            elif key in _POSITIVE and value <= 0:
+                raise ConfigError(f"'{key}' must be positive", line=lineno, field=key)
+            elif value < 0:
+                raise ConfigError(f"'{key}' must not be negative", line=lineno, field=key)
+            else:
+                value = float(value)
             kwargs[key] = value
         return cls(**kwargs)

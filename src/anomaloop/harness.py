@@ -65,7 +65,7 @@ class ResolverSpec:
     def create(self, cfg: SimConfig) -> Resolver:
         if self.kind == "oracle":
             return OracleResolver(cfg)
-        # Imported here: `requests` is slow to import and only remote runs need it.
+        # Imported here: only remote runs need the HTTP and TLS modules `remote` loads.
         from .remote import EndpointConfig, RemoteResolver
 
         return RemoteResolver(EndpointConfig(base_url=self.endpoint, model=self.model))

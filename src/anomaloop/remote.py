@@ -8,18 +8,28 @@ stage); the API token comes from the ``ANOMALOOP_API_KEY`` environment
 variable.  Transport failures (connection errors, HTTP 429/5xx) are retried
 with a fixed backoff schedule; auth failures and exhausted retries are not
 the resolver's to hide and propagate to the harness.
+
+The transport is the standard library's ``urllib.request``, with one
+connection per stage call (it sends ``Connection: close``).  It honours the
+``http_proxy``/``https_proxy``/``no_proxy`` variables as they are when the
+process first calls an endpoint, verifies TLS certificates and follows
+redirects without forwarding the token.  CA certificates come from the system
+store, which ``SSL_CERT_FILE`` overrides (certifi and ``REQUESTS_CA_BUNDLE``
+play no part), and a ``~/.netrc`` entry never replaces the bearer token.
 """
 
 from __future__ import annotations
 
 import functools
+import http.client
+import json
 import os
 import string
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from importlib import resources
-
-import requests
 
 from .pipeline import Resolver, Stage, StageContext, StageFailure
 
@@ -66,39 +76,40 @@ def _api_key() -> str:
     return key
 
 
-def chat_completion(
-    endpoint: EndpointConfig,
-    messages: list[dict],
-    session=None,
-    sleep=time.sleep,
-) -> str:
+def chat_completion(endpoint: EndpointConfig, messages: list[dict], sleep=time.sleep) -> str:
     """One chat call with retries: initial attempt plus one retry per backoff entry."""
-    session = session or requests
     payload = {"model": endpoint.model, "messages": messages, "temperature": endpoint.temperature}
-    headers = {"Authorization": f"Bearer {_api_key()}", "Content-Type": "application/json"}
+    data = json.dumps(payload).encode()
+    token = f"Bearer {_api_key()}"
     attempts = len(endpoint.backoff_s) + 1
     last_error: Exception | None = None
     for attempt in range(attempts):
+        request = urllib.request.Request(endpoint.url, data=data, headers={"Content-Type": "application/json"})
+        # An unredirected header is not forwarded to a redirect target.
+        request.add_unredirected_header("Authorization", token)
         try:
-            resp = session.post(endpoint.url, json=payload, headers=headers, timeout=endpoint.timeout_s)
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=endpoint.timeout_s) as resp:
+                status, raw = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            if exc.code in (401, 403):
+                raise AuthError(f"endpoint rejected credentials (HTTP {exc.code})") from None
+            if exc.code >= 500 or exc.code == 429:
+                last_error = TransportError(f"HTTP {exc.code}")
+            else:
+                raise TransportError(f"HTTP {exc.code}", retryable=False) from None
+        except (OSError, http.client.HTTPException) as exc:  # URLError is an OSError
             last_error = TransportError(f"request failed: {exc}")
         else:
-            if resp.status_code in (401, 403):
-                raise AuthError(f"endpoint rejected credentials (HTTP {resp.status_code})")
-            if resp.status_code >= 500 or resp.status_code == 429:
-                last_error = TransportError(f"HTTP {resp.status_code}")
-            elif resp.status_code != 200:
-                raise TransportError(f"HTTP {resp.status_code}", retryable=False)
-            else:
-                try:
-                    body = resp.json()
-                    content = body["choices"][0]["message"]["content"]
-                except (ValueError, KeyError, IndexError, TypeError) as exc:
-                    raise MalformedResponse(f"bad completion body: {exc}") from exc
-                if not isinstance(content, str):
-                    raise MalformedResponse("completion content is not text")
-                return content
+            if status != 200:
+                raise TransportError(f"HTTP {status}", retryable=False)
+            try:
+                content = json.loads(raw)["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise MalformedResponse(f"bad completion body: {exc}") from exc
+            if not isinstance(content, str):
+                raise MalformedResponse("completion content is not text")
+            return content
         if attempt < attempts - 1:
             sleep(endpoint.backoff_s[attempt])
     raise BudgetExceeded(f"gave up after {attempts} attempts: {last_error}")

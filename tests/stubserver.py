@@ -14,6 +14,7 @@ class StubEndpoint:
       - ``("status", 500)`` -> error status with empty body
       - ``("text", "...")`` -> HTTP 200 completion with the given content
       - ``("raw", b"...")``  -> HTTP 200 with an arbitrary body
+      - ``("drop", None)``   -> close the connection without replying
     When the script runs dry, ``fallback`` (a callable of the parsed request
     body) supplies the completion text.
     """
@@ -40,7 +41,9 @@ class StubEndpoint:
                     self._reply_completion(stub.fallback(body))
                     return
                 kind, value = entry
-                if kind == "status":
+                if kind == "drop":
+                    self.close_connection = True
+                elif kind == "status":
                     self._reply(value, b"")
                 elif kind == "raw":
                     self._reply(200, value)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import socket
+import urllib.request
 from importlib import resources
 
 import pytest
@@ -87,6 +89,38 @@ class TestChatCompletion:
         with StubEndpoint(script=[("raw", b"{\"nope\": 1}")]) as stub:
             with pytest.raises(MalformedResponse):
                 chat_completion(endpoint_for(stub), [], sleep=lambda s: None)
+
+    def test_dropped_connection_costs_one_retry(self):
+        sleeps = []
+        with StubEndpoint(script=[("drop", None), ("text", "ok")]) as stub:
+            out = chat_completion(endpoint_for(stub), [], sleep=sleeps.append)
+        assert out == "ok"
+        assert sleeps == [1.0]
+        assert len(stub.requests) == 2
+
+    def test_refused_connection_exhausts_budget(self):
+        sleeps = []
+        with socket.socket() as bound:  # bound but not listening: connections are refused
+            bound.bind(("127.0.0.1", 0))
+            endpoint = EndpointConfig(base_url=f"http://127.0.0.1:{bound.getsockname()[1]}", model="m")
+            with pytest.raises(BudgetExceeded, match="after 4 attempts"):
+                chat_completion(endpoint, [], sleep=sleeps.append)
+        assert sleeps == [1.0, 2.0, 4.0]
+
+    def test_proxy_variables_are_honoured(self, monkeypatch):
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        with StubEndpoint(script=[("text", "via proxy")]) as proxy:
+            monkeypatch.setenv("http_proxy", proxy.base_url)
+            # urlopen reads the proxy variables when it builds its shared opener.
+            urllib.request.install_opener(None)
+            try:
+                out = chat_completion(EndpointConfig(base_url="http://resolver.invalid", model="m"), [],
+                                      sleep=lambda s: None)
+            finally:
+                urllib.request.install_opener(None)
+        assert out == "via proxy"
+        assert len(proxy.requests) == 1
 
     def test_client_error_not_retryable(self):
         with StubEndpoint(script=[("status", 418)]) as stub:
